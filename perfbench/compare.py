@@ -33,17 +33,19 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def load(path) -> dict:
+    """``by_seed`` of the records in a results file."""
+    with open(path) as fh:
+        return by_seed(json.loads(line) for line in fh if line.strip())
+
+
+def by_seed(records) -> dict:
     """workload -> seed -> end-to-end metrics {name: value}."""
     out: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record["trace"]:
-                continue
-            metrics = {k: v["value"] for k, v in record["result"]["metrics"].items()}
-            out.setdefault(record["workload"], {})[record["seed"]] = metrics
+    for record in records:
+        if record["trace"]:
+            continue
+        metrics = {k: v["value"] for k, v in record["result"]["metrics"].items()}
+        out.setdefault(record["workload"], {})[record["seed"]] = metrics
     return out
 
 
@@ -112,9 +114,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Compare parent and change benchmark runs.")
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--benchmark", default=str(BENCHMARK))
     args = parser.parse_args(argv)
-    with open(args.benchmark) as fh:
+    with open(BENCHMARK) as fh:
         spec = json.load(fh)
     print("\n".join(compare(load(args.parent), load(args.change), spec)))
     return 0

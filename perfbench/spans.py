@@ -41,6 +41,10 @@ HOOKS = {
 }
 
 
+# Span name of the benchmark's own counters that run inside a traced call.
+PROBE = "trace.probe"
+
+
 class Tracer:
     """In-memory span recorder for one traced run."""
 
@@ -51,7 +55,8 @@ class Tracer:
 
     def wrap(self, name: str, fn, observe=None):
         """Timing wrapper around ``fn``; ``observe(args, result)`` runs after
-        the span closes, for counters that need the call's inputs."""
+        the span closes, in a ``PROBE`` span, for counters that need the
+        call's inputs."""
         spans = self.spans
         stack = self._stack
         errors = self.errors
@@ -71,7 +76,11 @@ class Tracer:
                 stack.pop()
                 spans[idx][2] = clock()
             if observe is not None:
+                # Probe work gets a span of its own, so that no layer's self
+                # time and no overhead figure counts it.
+                start = clock()
                 observe(args, result)
+                spans.append([PROBE, start, clock(), stack[-1] if stack else -1])
             return result
 
         return wrapper

@@ -1,16 +1,17 @@
 """Run the whole benchmark in one command and print every metric.
 
-    python3 perfbench/suite.py --runs 10 --out change.jsonl
-    python3 perfbench/suite.py --runs 10 --out change.jsonl \\
+    python3 perfbench/suite.py --out change.jsonl
+    python3 perfbench/suite.py --out change.jsonl \\
         --parent ../parent-checkout --parent-out parent.jsonl
 
-For each workload of BENCHMARK.json it makes ``--runs`` end-to-end runs
-(seeds ``--first-seed`` onwards) and then one traced run, each in its own
-process, and prints the end-to-end medians and quartiles and the per-layer
-metrics. Every run's result is appended to ``--out`` as one JSON line, the
-input of ``compare.py``. With ``--parent``, each run is paired with the same
-run in the parent checkout, alternating which side goes first, and the
-comparison is printed at the end.
+For each workload of BENCHMARK.json it makes ten end-to-end runs (seeds
+``--first-seed`` onwards) and then one traced run, each in its own process
+and each for BENCHMARK.json's ``run_seconds``, and prints the end-to-end
+medians and quartiles and the per-layer metrics. The output files are
+written afresh; each run's result is one JSON line, the input of
+``compare.py``. With ``--parent``, each run is paired with the same run in
+the parent checkout, alternating which side goes first, and the comparison
+of this invocation's runs is printed at the end.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import compare
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
+# Runs per workload and side: section 8 of the choosing-metrics guide asks
+# for at least ten pairs.
+RUNS = 10
 
 
 def run_one(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict | None:
@@ -74,10 +78,7 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--out", required=True)
     parser.add_argument("--parent", help="checkout of the parent commit to pair runs with")
     parser.add_argument("--parent-out", help="results file for the parent's runs")
@@ -87,13 +88,17 @@ def main(argv=None) -> int:
     sides = [(ROOT, Path(args.out))]
     if args.parent:
         sides.append((Path(args.parent).resolve(), Path(args.parent_out)))
+        if Path(args.parent_out).resolve() == Path(args.out).resolve():
+            parser.error("--out and --parent-out must be different files")
     results = {out: [] for _, out in sides}
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
-    jobs = [(w, s, 0) for w in args.workloads for s in seeds]
-    jobs += [(w, seeds[0], 1) for w in args.workloads]
+    for out in results:
+        out.write_text("")
+    seeds = list(range(args.first_seed, args.first_seed + RUNS))
+    jobs = [(w, s, 0) for w in names for s in seeds]
+    jobs += [(w, seeds[0], 1) for w in names]
     for i, (workload, seed, trace) in enumerate(jobs):
         for root, out in (sides if i % 2 == 0 else sides[::-1]):
-            record = run_one(root, workload, seed, args.seconds, trace)
+            record = run_one(root, workload, seed, spec["run_seconds"], trace)
             if record is not None:
                 results[out].append(record)
                 with open(out, "a") as fh:
@@ -103,8 +108,9 @@ def main(argv=None) -> int:
         print("\n".join(report(results[out], spec)))
     if args.parent:
         print("#### parent vs change")
-        print("\n".join(compare.compare(compare.load(args.parent_out), compare.load(args.out),
-                                        spec)))
+        parent = compare.by_seed(results[Path(args.parent_out)])
+        change = compare.by_seed(results[Path(args.out)])
+        print("\n".join(compare.compare(parent, change, spec)))
     failed = len(jobs) * len(sides) - sum(len(r) for r in results.values())
     failed += sum(r["result"]["failed"] for rs in results.values() for r in rs)
     return 1 if failed else 0

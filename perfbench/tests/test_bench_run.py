@@ -35,7 +35,9 @@ def test_traced_and_untraced_runs_agree(tmp_path, algo):
     assert (tmp_path / "run1.csv").read_bytes() == (tmp_path / "run2.csv").read_bytes()
     metrics = traced[2]
     assert metrics["trace.hooks_absent"][0] == 0
-    assert abs(metrics["trace.unaccounted"][0]) <= run.ACCOUNTING_TOLERANCE
+    assert metrics["trace.unaccounted"][0] == pytest.approx(
+        metrics["sim.run.self_s"][0] / traced[0])
+    assert metrics[run.PROBE][0] > 0
     assert metrics["codec.decode.calls"][0] == 4 * 3
     if algo == "jwins":
         assert metrics["wavelet.dwt.calls_per_node_round"][0] == 3

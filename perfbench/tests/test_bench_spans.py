@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from spans import Tracer, installed, layer_totals, self_times
+from spans import PROBE, Tracer, installed, layer_totals, self_times
 
 
 def test_self_time_of_hand_built_nested_spans():
@@ -61,9 +61,12 @@ def test_absent_hooks_are_reported_not_raised():
     hooks = {"mod.ok": [("mod", "ok")], "mod.gone": [("mod", "renamed_away")],
              "nomod.f": [("nomod", "f")]}
     seen = []
-    with installed(Tracer(), hooks=hooks, package="fakepkg_absent",
+    tracer = Tracer()
+    with installed(tracer, hooks=hooks, package="fakepkg_absent",
                    observers={"mod.ok": lambda args, result: seen.append((args, result))}) as absent:
         assert mod.ok(4) == 5
     assert absent == ["mod.renamed_away", "nomod.f"]
     assert seen == [((4,), 5)]
+    # The observer ran in a probe span of its own, after the call's span.
+    assert [s[0] for s in tracer.spans] == ["mod.ok", PROBE]
     assert mod.ok is ok
