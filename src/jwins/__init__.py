@@ -5,83 +5,9 @@ graphs. Its main protocol shares a small, importance-ranked slice of each
 node's wavelet-transformed parameters per round, with compressed index
 metadata; full sharing, seeded random sampling, and a Choco-SGD baseline run
 in the same harness for comparison.
-"""
 
-from .codec import (
-    CodecError,
-    SparseUpdate,
-    UpdateKind,
-    compression_ratio,
-    deserialize,
-    elias_gamma_decode,
-    elias_gamma_encode,
-    read_message_dump,
-    serialize,
-    write_message_dump,
-)
-from .graph import (
-    MixingWeights,
-    Topology,
-    generate_regular,
-    load_edge_list,
-    metropolis_hastings,
-    reshuffle,
-    save_edge_list,
-)
-from .learner import (
-    Dataset,
-    SGDConfig,
-    evaluate,
-    load_idx,
-    local_sgd,
-    make_model,
-    shard_partition,
-    synth_blobs,
-)
-from .node import (
-    Ablations,
-    Algo,
-    NodeState,
-    ProtocolConfig,
-    RoundOutcome,
-    finalize_round,
-    prepare_round,
-    run_round,
-    sparse_average,
-)
-from .sim import (
-    ConfigError,
-    RunConfig,
-    compare,
-    config_from_dict,
-    load_config,
-    read_metrics,
-    reconstruction_probe,
-    run,
-    write_metrics,
-)
-from .sparsify import (
-    Accumulator,
-    AlphaDistribution,
-    Selection,
-    accumulate_averaging_delta,
-    accumulate_training_delta,
-    draw_alpha,
-    new_accumulator,
-    reset_selected,
-    select_random,
-    select_topk,
-    selection_size,
-    top_indices,
-)
-from .wavelet import (
-    WaveletCoeffs,
-    WaveletSpec,
-    coeff_layout,
-    coeff_length,
-    dwt,
-    idwt,
-    sym2_filters,
-)
+The API lives in the submodules, e.g. ``from jwins.sim import run,
+config_from_dict``.
+"""
 
 __version__ = "0.1.0"

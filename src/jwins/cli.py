@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codec import CodecError
-from .sim import ConfigError, compare, load_config, reconstruction_probe, run
+from .sim import compare, load_config, reconstruction_probe, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,16 +41,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_config(args.config)
-            if args.algo is not None:
-                cfg.algo = args.algo
-            if args.rounds is not None:
-                cfg.rounds = args.rounds
-            if args.seed is not None:
-                cfg.seed = args.seed
-            from .sim import _validate
-
-            _validate(cfg)
+            overrides = {key: getattr(args, key) for key in ("algo", "rounds", "seed")
+                         if getattr(args, key) is not None}
+            cfg = load_config(args.config, overrides)
             rows = run(cfg, out_path=args.out)
             final = next((r for r in reversed(rows) if r[1] == "AGG"), None)
             if final is not None:
@@ -69,10 +61,7 @@ def main(argv=None) -> int:
                 print("wrote %s" % args.out)
         elif args.command == "compare":
             print(compare(args.files, target_acc=args.target_acc))
-    except (ConfigError, CodecError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # includes ConfigError, CodecError
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

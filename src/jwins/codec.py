@@ -398,13 +398,12 @@ def resolve_indices(update: SparseUpdate, coeff_len: int) -> np.ndarray | None:
     return idx
 
 
-def write_message_dump(path, updates) -> None:
-    """Length-prefixed record stream: u32 LE byte length, then the message."""
-    with open(path, "wb") as fh:
-        for u in updates:
-            blob = serialize(u)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+def write_message_dump(fh, blobs) -> None:
+    """Append serialized messages to an open binary file as length-prefixed
+    records: u32 LE byte length, then the message."""
+    for blob in blobs:
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
 
 
 def read_message_dump(path) -> list[SparseUpdate]:

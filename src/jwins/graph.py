@@ -119,10 +119,20 @@ def metropolis_hastings(topo: Topology) -> MixingWeights:
     return MixingWeights(topo.n, topo.neighbors, tuple(edge_weights), self_weight)
 
 
+def seed_sequence(seed: int, *tags: int) -> np.random.SeedSequence:
+    """Independent stream named by ``tags`` under a run seed; stable across
+    platforms. The seed is masked to 64 bits."""
+    return np.random.SeedSequence([int(seed) & _SEED_MASK, *tags])
+
+
+def derived_seed(seed: int, *tags: int) -> int:
+    """First u64 of ``seed_sequence(seed, *tags)``, for APIs that take an int."""
+    return int(seed_sequence(seed, *tags).generate_state(1, np.uint64)[0])
+
+
 def round_seed(run_seed: int, round_no: int) -> int:
-    """Derived seed for one round's topology draw; stable across platforms."""
-    ss = np.random.SeedSequence([int(run_seed) & _SEED_MASK, int(round_no)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Derived seed for one round's topology draw."""
+    return derived_seed(run_seed, int(round_no))
 
 
 def reshuffle(topo: Topology, round_no: int, run_seed: int) -> Topology:

@@ -34,6 +34,7 @@ from .sparsify import (
     accumulate_training_delta,
     draw_alpha,
     new_accumulator,
+    random_indices,
     reset_selected,
     select_topk,
     selection_size,
@@ -178,7 +179,7 @@ def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> Spars
     if state.algo == Algo.RANDOM:
         k = selection_size(cfg.random_alpha, state.coeff_len)
         seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
-        sel = Selection(codec.random_indices(state.coeff_len, k, seed), cfg.random_alpha)
+        sel = Selection(random_indices(state.coeff_len, k, seed), cfg.random_alpha)
         update = codec.make_seed_update(
             round_no, state.node_id, seed, x_tau[sel.indices].astype(np.float32))
         state._pending = (x_tau, x_tau, sel, cfg.random_alpha, update)

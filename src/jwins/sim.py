@@ -14,7 +14,7 @@ reproduces its metrics file byte for byte, regardless of worker count.
 from __future__ import annotations
 
 import json
-import struct
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -22,7 +22,14 @@ import numpy as np
 import yaml
 
 from . import codec
-from .graph import Topology, generate_regular, metropolis_hastings, round_seed
+from .graph import (
+    Topology,
+    derived_seed,
+    generate_regular,
+    metropolis_hastings,
+    reshuffle,
+    seed_sequence,
+)
 from .learner import (
     Dataset,
     SGDConfig,
@@ -40,7 +47,7 @@ from .node import (
     finalize_round,
     prepare_round,
 )
-from .sparsify import AlphaDistribution, selection_size, top_indices
+from .sparsify import AlphaDistribution, random_indices, selection_size, top_indices
 from .wavelet import WaveletCoeffs, coeff_length, dwt, idwt, sym2_filters
 
 METRICS_HEADER = "round,node,test_loss,test_acc,bytes_cum,bytes_meta_cum,alpha"
@@ -55,19 +62,9 @@ _TAG_NODE_DATA = 5
 _TAG_NODE_ALPHA = 6
 _TAG_NODE_MISC = 7
 
-_SEED_MASK = 2**64 - 1
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
-
-
-def _seed_seq(seed: int, *tags: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed) & _SEED_MASK, *tags])
-
-
-def _seed_int(seed: int, *tags: int) -> int:
-    return int(_seed_seq(seed, *tags).generate_state(1, np.uint64)[0])
 
 
 @dataclass
@@ -155,11 +152,25 @@ _SECTION_TYPES = {
 }
 
 
+def _check_ints(cls, raw: dict, prefix: str) -> None:
+    """Reject a non-int value (bools included) for an integer field of ``cls``;
+    YAML hands over whatever scalar it parsed."""
+    for key, hint in typing.get_type_hints(cls).items():
+        if key not in raw or hint not in (int, int | None):
+            continue
+        value = raw[key]
+        if value is None and hint == int | None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError("%s%s must be an integer, got %r" % (prefix, key, value))
+
+
 def _build_section(cls, raw: dict, where: str):
     allowed = cls.__dataclass_fields__
     for key in raw:
         if key not in allowed:
             raise ConfigError("unknown config key %r in %s" % (key, where))
+    _check_ints(cls, raw, where + ".")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -193,6 +204,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             kwargs[key] = AlphaCfg(support, probs)
         else:
             kwargs[key] = value
+    _check_ints(RunConfig, kwargs, "")
     try:
         cfg = RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -245,11 +257,18 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=None) -> RunConfig:
+    """Parse and validate a YAML config file; ``overrides`` entries replace
+    its top-level keys before validation."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError("malformed YAML: %s" % " ".join(str(exc).split())) from exc
     if raw is None:
         raw = {}
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return config_from_dict(raw)
 
 
@@ -263,7 +282,7 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         return train, test
     # One blob draw covers train and test so both share the class means.
     total = d.per_class + d.test_per_class
-    full = synth_blobs(d.classes, d.dims, total, _seed_int(cfg.seed, _TAG_DATA),
+    full = synth_blobs(d.classes, d.dims, total, derived_seed(cfg.seed, _TAG_DATA),
                        d.mean_scale, d.noise_scale)
     train_idx = []
     test_idx = []
@@ -308,7 +327,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     mcfg = cfg.model
     features = train.features.shape[1]
     classes = max(train.num_classes, 2)
-    init_rng = np.random.default_rng(_seed_seq(cfg.seed, _TAG_MODEL))
+    init_rng = np.random.default_rng(seed_sequence(cfg.seed, _TAG_MODEL))
     reference = make_model(mcfg.kind, features, classes, hidden=mcfg.hidden,
                            rng=init_rng, init_scale=mcfg.init_scale)
     flat0 = reference.get_flat()
@@ -316,7 +335,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         parts = [np.arange(train.labels.size)]
     else:
         parts = shard_partition(train.labels, cfg.n, cfg.partition.shards_per_node,
-                                _seed_int(cfg.seed, _TAG_PARTITION))
+                                derived_seed(cfg.seed, _TAG_PARTITION))
     states = []
     for i in range(cfg.n):
         model = make_model(mcfg.kind, features, classes, hidden=mcfg.hidden, rng=None)
@@ -324,13 +343,13 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         states.append(NodeState(
             i, model, pcfg,
             train.features[parts[i]], train.labels[parts[i]],
-            rng_data=np.random.default_rng(_seed_seq(cfg.seed, _TAG_NODE_DATA, i)),
-            rng_alpha=np.random.default_rng(_seed_seq(cfg.seed, _TAG_NODE_ALPHA, i)),
-            rng_misc=np.random.default_rng(_seed_seq(cfg.seed, _TAG_NODE_MISC, i)),
+            rng_data=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_DATA, i)),
+            rng_alpha=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_ALPHA, i)),
+            rng_misc=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_MISC, i)),
         ))
     topo_seed = cfg.topology.seed
     if topo_seed is None:
-        topo_seed = _seed_int(cfg.seed, _TAG_TOPOLOGY)
+        topo_seed = derived_seed(cfg.seed, _TAG_TOPOLOGY)
     if cfg.n == 1:
         topology = Topology(1, 0, (np.empty(0, dtype=np.int64),), topo_seed)
     else:
@@ -371,14 +390,12 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     try:
         for t in range(cfg.rounds):
             if cfg.topology.dynamic and n > 1:
-                topology = generate_regular(n, cfg.topology.d, round_seed(rt.topo_seed, t))
+                topology = reshuffle(topology, t, rt.topo_seed)
                 weights = metropolis_hastings(topology)
             outgoing = node_map(lambda s: prepare_round(s, t, rt.pcfg))
             blobs = [codec.serialize(u) for u in outgoing]
             if dump_fh is not None:
-                for blob in blobs:
-                    dump_fh.write(struct.pack("<I", len(blob)))
-                    dump_fh.write(blob)
+                codec.write_message_dump(dump_fh, blobs)
             # Decode once per broadcast message; receivers share the result.
             wire = [codec.deserialize(b) for b in blobs]
             inboxes = [[wire[j] for j in topology.neighbors[i]] for i in range(n)]
@@ -499,7 +516,7 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
         approx = idwt(WaveletCoeffs(recon_coeffs, layout, plen), spec)
         mse_w = float(np.mean((x - approx) ** 2))
         seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
-        ridx = codec.random_indices(plen, k_rand, seed)
+        ridx = random_indices(plen, k_rand, seed)
         recon_params[ridx] = x[ridx]
         mse_r = float(np.mean((x - recon_params) ** 2))
         cum_w += mse_w

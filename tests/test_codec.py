@@ -250,7 +250,8 @@ class TestMessageDump:
             make_seed_update(1, 0, 77, rng.normal(size=3).astype(np.float32)),
         ]
         path = tmp_path / "dump.bin"
-        write_message_dump(path, updates)
+        with open(path, "wb") as fh:
+            write_message_dump(fh, [serialize(u) for u in updates])
         back = read_message_dump(path)
         assert len(back) == 3
         for u, v in zip(updates, back):
@@ -259,7 +260,9 @@ class TestMessageDump:
 
     def test_truncated_dump(self, tmp_path):
         path = tmp_path / "dump.bin"
-        write_message_dump(path, [make_full_update(0, 0, np.zeros(4, dtype=np.float32))])
+        update = make_full_update(0, 0, np.zeros(4, dtype=np.float32))
+        with open(path, "wb") as fh:
+            write_message_dump(fh, [serialize(update)])
         data = path.read_bytes()
         path.write_bytes(data[:-2])
         with pytest.raises(CodecError, match="truncated stream"):

@@ -5,12 +5,14 @@ import pytest
 
 from jwins.graph import (
     Topology,
+    derived_seed,
     generate_regular,
     load_edge_list,
     metropolis_hastings,
     reshuffle,
     round_seed,
     save_edge_list,
+    seed_sequence,
 )
 
 
@@ -152,6 +154,13 @@ class TestReshuffle:
     def test_round_seed_stable(self):
         assert round_seed(123, 7) == round_seed(123, 7)
         assert round_seed(123, 7) != round_seed(123, 8)
+        # Literal values: a change to the derivation moves every metrics CSV.
+        assert round_seed(123, 7) == 11002349382382457685
+        assert round_seed(2**64 + 5, 3) == round_seed(5, 3) == 8065153966420768690
+        assert derived_seed(1234, 2) == 13068095982739784978
+        assert derived_seed(7, 5, 3) == 9266463690107369631
+        np.testing.assert_array_equal(seed_sequence(7, 6, 1).generate_state(2, np.uint64),
+                                      [9305545609454570415, 5100130952736462770])
 
 
 class TestEdgeList:

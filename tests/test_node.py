@@ -22,7 +22,7 @@ from jwins.node import (
     run_round,
     sparse_average,
 )
-from jwins.sparsify import selection_size
+from jwins.sparsify import random_indices, selection_size
 from jwins.wavelet import dwt
 
 
@@ -204,7 +204,7 @@ class TestRandomSampling:
                   _make_state(1, cfg, num_features=9, init=b)]
         updates = [prepare_round(s, 0, cfg) for s in states]
         finalize_round(states[0], [updates[1]], W, 0, cfg)
-        idx = codec.random_indices(20, selection_size(0.3, 20), updates[1].seed)
+        idx = random_indices(20, selection_size(0.3, 20), updates[1].seed)
         want = a.copy()
         want[idx] = 0.5 * a[idx] + 0.5 * b[idx].astype(np.float32)
         np.testing.assert_allclose(states[0].model.get_flat(), want, rtol=1e-15)

@@ -92,6 +92,12 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 config_from_dict(bad)
 
+    @pytest.mark.parametrize("raw", [{"n": "abc"}, {"topology": {"d": "2"}}, {"n": True},
+                                     {"rounds": 2.5}, {"seed": 1.5}])
+    def test_integer_fields_reject_other_types(self, raw):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            config_from_dict(raw)
+
     def test_bad_kinds(self):
         with pytest.raises(ConfigError, match="model kind"):
             config_from_dict({"model": {"kind": "cnn"}})
@@ -417,6 +423,13 @@ class TestCli:
         rc = cli.main(["run", "--config", cfg])
         assert rc == 1
         assert "unknown algorithm" in capsys.readouterr().err
+
+    def test_malformed_yaml_reports_one_line(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "algo: [jwins\nn: 4\n")
+        rc = cli.main(["run", "--config", cfg])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed YAML") and err.count("\n") == 1
 
     def test_probe_command(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, """
