@@ -18,6 +18,11 @@ by the successive differences, so every gap is a positive integer. Elias
 gamma writes each gap g as floor(log2 g) zero bits, then g's binary digits
 MSB first. The bit stream is packed MSB-first and zero-padded to a whole
 byte.
+
+Decoder contract: any byte string either decodes to an update or raises
+CodecError, never another exception. A JWINS_INDICES index stream must end
+where the 4K value bytes begin; the decoder never reads value bytes as
+index bits, so a stream that would run into them is a "truncated stream".
 """
 
 from __future__ import annotations
@@ -123,8 +128,9 @@ def elias_gamma_decode(data: bytes, count: int) -> np.ndarray:
     """Read ``count`` gamma codewords; trailing pad bits are ignored.
 
     Raises CodecError("truncated stream") when the data runs out mid-codeword
-    and CodecError("corrupt codeword") on a zero run of 64 or more bits.
-    Never returns a partial result.
+    and CodecError("corrupt codeword") on a zero run of 64 or more bits or a
+    complete codeword of 63 zeros, whose value does not fit an int64. The
+    first failing codeword decides which. Never returns a partial result.
     """
     if count < 0:
         raise CodecError("negative codeword count")
@@ -282,7 +288,12 @@ def deserialize(data: bytes) -> SparseUpdate:
         # reject impossible counts before the scanner allocates anything.
         if len(data) < HEADER_LEN + (k + 7) // 8 + 4 * k:
             raise CodecError("truncated stream")
-        gaps, body_at = _scan_gamma(data, HEADER_LEN, k)
+        # The index stream must end where the 4K value bytes begin.
+        gaps, body_at = _scan_gamma(data[: len(data) - 4 * k], HEADER_LEN, k)
+        if gaps.size and int(gaps.max()) > 2**32:
+            # A gap this large cannot occur between u32 indices; rejecting it
+            # also keeps the cumulative sum below from wrapping around.
+            raise CodecError("index out of range")
         indices = gaps_to_indices(gaps)
         if indices.size and int(indices[-1]) > _U32_MAX:
             raise CodecError("index out of range")
@@ -322,53 +333,104 @@ def deserialize(data: bytes) -> SparseUpdate:
     )
 
 
+_NO_ONE = 1 << 40
+_OFFSETS = np.arange(8, dtype=np.int64)
+
+
+def _first_one_table() -> np.ndarray:
+    """(256, 8) table: MSB-first offset of the first one bit of byte v at or
+    after offset o, or _NO_ONE when there is none."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    first = np.full((256, 9), _NO_ONE, dtype=np.int64)
+    for o in range(7, -1, -1):
+        first[:, o] = np.where(bits[:, o] == 1, o, first[:, o + 1])
+    return first[:, :8]
+
+
+_FIRST_ONE = _first_one_table()
+# End, relative to its byte, of a codeword that starts at offset o of byte v
+# and has its leading one in that byte: 2q - o + 1 for a leading one at q.
+_END_IN_BYTE = 2 * _FIRST_ONE - _OFFSETS + 1
+# Pointer doubling stops squaring its jump table once at most this many fill
+# passes remain: a square costs a pass over every bit position, a fill pass
+# only a call and ``stride`` starts.
+_FILL_PASSES = 64
+
+
 def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     """Decode ``count`` codewords starting at byte ``start``.
 
-    Returns the gaps and the byte offset just past the (padded) stream. Bytes
-    are pulled into the bit window greedily, so the stream end is computed
-    from the codeword bits actually consumed, not the read position.
+    Returns the gaps and the byte offset just past the (padded) stream. The
+    scan is vectorized over bit positions: a codeword that starts at bit p
+    and has its leading one at bit q ends at 2q - p + 1, so one table maps
+    every bit position to the end of the codeword that would start there.
+    Pointer doubling over that table finds the ``count`` codeword starts in
+    stream order, and each value is read from a 64-bit window at its
+    leading one.
     """
-    gaps = np.empty(count, dtype=np.int64)
-    acc = 0
-    n_acc = 0
-    pos = start
-    n = len(data)
-    bits_used = 0
-    for i in range(count):
-        zeros = 0
-        while True:
-            if n_acc == 0:
-                if pos >= n:
-                    raise CodecError("truncated stream")
-                take = min(8, n - pos)
-                acc = int.from_bytes(data[pos : pos + take], "big")
-                n_acc = 8 * take
-                pos += take
-            top = acc.bit_length()
-            if top == 0:
-                zeros += n_acc
-                n_acc = 0
-                if zeros >= _MAX_GAMMA_ZEROS:
-                    raise CodecError("corrupt codeword")
-                continue
-            zeros += n_acc - top
-            n_acc = top
-            break
-        if zeros >= _MAX_GAMMA_ZEROS:
+    if count == 0:
+        return np.empty(0, dtype=np.int64), start
+    # A codeword that decodes spans at most 125 bits, and whether the first
+    # failing one is truncated or corrupt shows within 127 bits of its start,
+    # so no bit past 127 * count is ever needed.
+    raw = np.frombuffer(data, dtype=np.uint8, offset=start)[: (127 * count + 7) // 8]
+    nbytes = raw.size
+    nbits = 8 * nbytes
+    byte_at = np.arange(0, nbits + 1, 8, dtype=np.int64)
+    # after[b]: the first one bit at or after byte b, nbits when there is none.
+    first = np.minimum(byte_at[:nbytes] + _FIRST_ONE[raw, 0], nbits)
+    after = np.append(np.minimum.accumulate(first[::-1])[::-1], nbits)
+    # jump[p]: the end of the codeword starting at bit p. Its leading one is
+    # in p's byte or at after[b + 1]; 2q - p + 1 grows with q, so the smaller
+    # candidate end is the true one. Ends past the stream land in the
+    # sentinel slots [nbits, nbits + 8], which all hold nbits + 1; so does a
+    # start at nbits, where no bit is left.
+    jump = np.empty(nbits + 9, dtype=np.int64)
+    table = jump[:nbits].reshape(nbytes, 8)
+    np.take(_END_IN_BYTE, raw, axis=0, out=table)
+    table += byte_at[:nbytes, None]
+    far = np.minimum(2 * after[1:] - byte_at[:nbytes] + 1, nbits + 8)
+    np.minimum(table, far[:, None] - _OFFSETS, out=table)
+    jump[nbits:] = nbits + 1
+    # With step = jump composed ``stride`` times, each pass fills the next
+    # ``stride`` starts from those ``stride`` codewords back.
+    starts = np.empty(count, dtype=np.int64)
+    starts[0] = 0
+    step = jump
+    filled = stride = 1
+    while filled < count:
+        w = min(stride, count - filled)
+        starts[filled : filled + w] = step[starts[filled - stride : filled - stride + w]]
+        filled += w
+        if filled == 2 * stride and filled * _FILL_PASSES < count:
+            step = step[step]
+            stride = filled
+    ends = jump[starts]
+    lead = (starts + ends - 1) >> 1
+    length = ends - lead
+    last = int(ends[-1])
+    longest = int(length.max())
+    if last > nbits or longest > 63:
+        # The first failing codeword decides. A complete codeword of 63 or
+        # more zeros carries a value of 64 or more bits: no int64 gap holds it.
+        i = int(np.argmax((ends > nbits) | (length > 63)))
+        p = int(starts[i])
+        head = np.unpackbits(raw[p // 8 : p // 8 + 9])[p % 8 : p % 8 + _MAX_GAMMA_ZEROS]
+        if ends[i] <= nbits or (head.size == _MAX_GAMMA_ZEROS and not head.any()):
             raise CodecError("corrupt codeword")
-        while n_acc < zeros + 1:
-            if pos >= n:
-                raise CodecError("truncated stream")
-            take = min(8, n - pos)
-            acc = (acc << (8 * take)) | int.from_bytes(data[pos : pos + take], "big")
-            n_acc += 8 * take
-            pos += take
-        gaps[i] = acc >> (n_acc - (zeros + 1))
-        n_acc -= zeros + 1
-        acc &= (1 << n_acc) - 1
-        bits_used += 2 * zeros + 1
-    return gaps, start + (bits_used + 7) // 8
+        raise CodecError("truncated stream")
+    padded = np.zeros(nbytes + 8, dtype=np.uint8)
+    padded[:nbytes] = raw
+    windows = np.ndarray((nbytes,), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
+    at = lead >> 3
+    shift = (lead & 7).view(np.uint64)
+    bits = windows[at] << shift
+    if longest > 57:
+        # A value of more than 57 bits can reach into a ninth byte.
+        spill = np.flatnonzero(shift + length.view(np.uint64) > 64)
+        bits[spill] |= padded[at[spill] + 8].astype(np.uint64) >> (8 - shift[spill])
+    gaps = (bits >> (64 - length).view(np.uint64)).view(np.int64)
+    return gaps, start + (last + 7) // 8
 
 
 def resolve_indices(update: SparseUpdate, coeff_len: int) -> np.ndarray | None:

@@ -152,17 +152,35 @@ _SECTION_TYPES = {
 }
 
 
-def _check_ints(cls, raw: dict, prefix: str) -> None:
-    """Reject a non-int value (bools included) for an integer field of ``cls``;
-    YAML hands over whatever scalar it parsed."""
+# Each scalar field type, the raw value types it takes and how an error names
+# it. YAML hands over whatever scalar it parsed, and bool is a subclass of int,
+# so a bool is only taken by a bool field.
+_SCALAR_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+    str: ((str,), "a string"),
+}
+
+
+def _check_types(cls, raw: dict, prefix: str) -> None:
+    """Reject a raw value whose type does not fit a scalar field of ``cls``,
+    read from the dataclass annotations; an ``X | None`` field also takes
+    None."""
     for key, hint in typing.get_type_hints(cls).items():
-        if key not in raw or hint not in (int, int | None):
+        if key not in raw:
             continue
         value = raw[key]
-        if value is None and hint == int | None:
+        options = typing.get_args(hint)
+        if type(None) in options:
+            if value is None:
+                continue
+            hint = options[0]
+        if hint not in _SCALAR_TYPES:
             continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("%s%s must be an integer, got %r" % (prefix, key, value))
+        allowed, what = _SCALAR_TYPES[hint]
+        if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
+            raise ConfigError("%s%s must be %s, got %r" % (prefix, key, what, value))
 
 
 def _build_section(cls, raw: dict, where: str):
@@ -170,7 +188,7 @@ def _build_section(cls, raw: dict, where: str):
     for key in raw:
         if key not in allowed:
             raise ConfigError("unknown config key %r in %s" % (key, where))
-    _check_ints(cls, raw, where + ".")
+    _check_types(cls, raw, where + ".")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -204,7 +222,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             kwargs[key] = AlphaCfg(support, probs)
         else:
             kwargs[key] = value
-    _check_ints(RunConfig, kwargs, "")
+    _check_types(RunConfig, kwargs, "")
     try:
         cfg = RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -122,7 +122,8 @@ def coeff_length(source_len: int, levels: int) -> int:
 def _analyze(a: np.ndarray, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
     # Half-sample symmetric extension by 3 on both ends, dense correlation,
     # then keep outputs at odd phase. Yields floor((n + 3) / 2) per band.
-    ext = np.pad(a, (FILTER_LEN - 1, FILTER_LEN - 1), mode="symmetric")
+    # Slicing builds the extension; a level only runs when n >= FILTER_LEN.
+    ext = np.concatenate([a[2::-1], a, a[:-4:-1]])
     lo = np.convolve(ext, spec.filter_lo, mode="valid")[1::2]
     hi = np.convolve(ext, spec.filter_hi, mode="valid")[1::2]
     return lo, hi

@@ -1,7 +1,8 @@
 """Wire format and Elias-gamma metadata tests.
 
-The gamma bitstream convention is pinned by hand-computed encodings;
-everything else is roundtrip and error-contract checks.
+The gamma bitstream convention is pinned by hand-computed encodings; the
+vectorized decoder is checked against a codeword-at-a-time reference decoder
+kept here; everything else is roundtrip and error-contract checks.
 """
 
 import struct
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from jwins.codec import (
+    HEADER,
     HEADER_LEN,
     CodecError,
     UpdateKind,
@@ -27,7 +29,75 @@ from jwins.codec import (
     read_message_dump,
     serialize,
     write_message_dump,
+    _scan_gamma,
 )
+
+
+def _reference_scan_gamma(data: bytes, start: int, count: int):
+    """Codeword-at-a-time gamma decoder: the oracle of ``codec._scan_gamma``.
+
+    Returns the gaps and the byte offset just past the padded stream, or
+    raises CodecError("truncated stream") when the data runs out and
+    CodecError("corrupt codeword") on a zero run of 64 or more bits or a
+    value too wide for int64.
+    """
+    gaps = np.empty(count, dtype=np.int64)
+    acc = 0
+    n_acc = 0
+    pos = start
+    n = len(data)
+    bits_used = 0
+    for i in range(count):
+        zeros = 0
+        while True:
+            if n_acc == 0:
+                if pos >= n:
+                    raise CodecError("truncated stream")
+                take = min(8, n - pos)
+                acc = int.from_bytes(data[pos : pos + take], "big")
+                n_acc = 8 * take
+                pos += take
+            top = acc.bit_length()
+            if top == 0:
+                zeros += n_acc
+                n_acc = 0
+                if zeros >= 64:
+                    raise CodecError("corrupt codeword")
+                continue
+            zeros += n_acc - top
+            n_acc = top
+            break
+        if zeros >= 64:
+            raise CodecError("corrupt codeword")
+        while n_acc < zeros + 1:
+            if pos >= n:
+                raise CodecError("truncated stream")
+            take = min(8, n - pos)
+            acc = (acc << (8 * take)) | int.from_bytes(data[pos : pos + take], "big")
+            n_acc += 8 * take
+            pos += take
+        value = acc >> (n_acc - (zeros + 1))
+        if value >= 2**63:
+            raise CodecError("corrupt codeword")
+        gaps[i] = value
+        n_acc -= zeros + 1
+        acc &= (1 << n_acc) - 1
+        bits_used += 2 * zeros + 1
+    return gaps, start + (bits_used + 7) // 8
+
+
+def _gamma_bytes(gaps) -> bytes:
+    """Gamma stream from Python ints of any size, packed MSB-first."""
+    bits = "".join("0" * (g.bit_length() - 1) + format(g, "b") for g in gaps)
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _jwins_message(stream: bytes, k: int, values: bytes | None = None) -> bytes:
+    """JWINS_INDICES message with a hand-made index stream."""
+    if values is None:
+        values = bytes(4 * k)
+    return HEADER.pack(0, 0, int(UpdateKind.JWINS_INDICES), k) + stream + values
 
 
 class TestGaps:
@@ -90,6 +160,23 @@ class TestGamma:
     def test_large_gap(self):
         g = [2**31 - 1, 1, 2**20]
         np.testing.assert_array_equal(elias_gamma_decode(elias_gamma_encode(g), 3), g)
+
+    def test_widest_gaps(self):
+        """Values of 58 to 63 bits can reach into a ninth byte of the stream."""
+        g = [2**63 - 1, 3, 2**62 + 5, 2**57, 7, 2**58 - 1]
+        for lead in range(8):
+            data = _gamma_bytes([1] * lead + g)
+            np.testing.assert_array_equal(elias_gamma_decode(data, lead + len(g)),
+                                          [1] * lead + g)
+
+    def test_63_zero_codeword_is_corrupt(self):
+        """63 zeros then 64 bits hold a value of 2**63 or more: no int64 gap."""
+        data = _gamma_bytes([2**64 - 1])
+        assert len(data) == 16
+        with pytest.raises(CodecError, match="corrupt codeword"):
+            elias_gamma_decode(data, 1)
+        with pytest.raises(CodecError, match="corrupt codeword"):
+            deserialize(_jwins_message(data, 1))
 
     def test_non_positive_rejected(self):
         with pytest.raises(CodecError, match="non-positive"):
@@ -231,6 +318,28 @@ class TestMessages:
             except CodecError:
                 pass
 
+    def test_gap_wraparound_rejected(self):
+        """Gaps whose int64 sum wraps would pass a check of the last index."""
+        gaps = [1, 2**62, 2**62, 2**62, 2**62 + 5]
+        with pytest.raises(CodecError, match="index out of range"):
+            deserialize(_jwins_message(_gamma_bytes(gaps), 5))
+
+    def test_largest_gaps_accepted(self):
+        """Gaps of 2**32 are the largest that can separate u32 indices."""
+        u = deserialize(_jwins_message(_gamma_bytes([2**32]), 1))
+        np.testing.assert_array_equal(u.indices, [2**32 - 1])
+        with pytest.raises(CodecError, match="index out of range"):
+            deserialize(_jwins_message(_gamma_bytes([2**32 + 1]), 1))
+        with pytest.raises(CodecError, match="index out of range"):
+            deserialize(_jwins_message(_gamma_bytes([1, 2**32]), 2))
+
+    def test_index_stream_must_end_before_values(self):
+        """The index stream may not run into the value bytes, whatever they
+        hold."""
+        for values in (bytes(8), b"\xff" * 8):
+            with pytest.raises(CodecError, match="truncated stream"):
+                deserialize(_jwins_message(b"\x00", 2, values))
+
     def test_uncompressed_variant_is_4_bytes_per_index(self):
         idx = np.arange(0, 1000, 2)
         comp = make_indexed_update(0, 0, idx, np.zeros(500, dtype=np.float32))
@@ -267,3 +376,87 @@ class TestMessageDump:
         path.write_bytes(data[:-2])
         with pytest.raises(CodecError, match="truncated stream"):
             read_message_dump(path)
+
+
+def _outcome(scan, data: bytes, start: int, count: int):
+    try:
+        gaps, end = scan(data, start, count)
+    except CodecError as exc:
+        return "error", str(exc)
+    return gaps.tolist(), end
+
+
+class TestScanOracle:
+    """The vectorized scan against the reference decoder on seeded inputs:
+    equal gaps and end offsets, or the same error reason."""
+
+    def _check(self, data: bytes, start: int, count: int):
+        want = _outcome(_reference_scan_gamma, data, start, count)
+        assert _outcome(_scan_gamma, data, start, count) == want, (data.hex(), start, count)
+
+    def test_random_bytes(self):
+        rng = np.random.default_rng(10)
+        for _ in range(1500):
+            data = rng.integers(0, 256, int(rng.integers(0, 40)), dtype=np.uint8).tobytes()
+            start = int(rng.integers(0, min(3, len(data)) + 1))
+            self._check(data, start, int(rng.integers(0, 8 * (len(data) - start) + 2)))
+
+    def test_sparse_ones(self):
+        """Long zero runs reach the 63- and 64-zero limits."""
+        rng = np.random.default_rng(11)
+        for _ in range(1500):
+            density = rng.choice([0.002, 0.01, 0.05, 0.2])
+            data = np.packbits(rng.random(8 * int(rng.integers(0, 40))) < density).tobytes()
+            start = int(rng.integers(0, min(3, len(data)) + 1))
+            self._check(data, start, int(rng.integers(0, 8 * (len(data) - start) + 2)))
+
+    def test_valid_streams_whole_and_truncated(self):
+        rng = np.random.default_rng(12)
+        for _ in range(1500):
+            k = int(rng.integers(1, 40))
+            width = int(rng.integers(1, 64))
+            gaps = [int(g) for g in rng.integers(1, 2**width, k, dtype=np.uint64)]
+            stream = _gamma_bytes(gaps)
+            prefix = rng.integers(0, 256, int(rng.integers(0, 4)), dtype=np.uint8).tobytes()
+            cut = len(stream) if rng.random() < 0.5 else int(rng.integers(0, len(stream) + 1))
+            data = prefix + stream[:cut]
+            self._check(data, len(prefix), int(rng.integers(0, k + 2)))
+            if cut == len(stream):
+                np.testing.assert_array_equal(_scan_gamma(data, len(prefix), k)[0], gaps)
+
+    def test_selections_at_scale(self):
+        """Sorted selections of 60,426 slots at densities up to 1."""
+        rng = np.random.default_rng(13)
+        for density in (0.1, 0.4, 1.0):
+            idx = np.sort(rng.choice(60426, size=int(density * 60426), replace=False))
+            data = encode_indices(idx)
+            self._check(data, 0, idx.size)
+            self._check(data[:-1], 0, idx.size)
+
+    def test_mutated_messages_raise_only_codec_error(self):
+        """Bit flips, truncation and appended bytes: a message either decodes
+        to an update that re-serializes to the same bytes, or raises
+        CodecError."""
+        rng = np.random.default_rng(14)
+        for _ in range(600):
+            n = int(rng.integers(1, 200))
+            idx = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            blob = bytearray(serialize(make_indexed_update(
+                int(rng.integers(0, 2**32)), int(rng.integers(0, 2**32)), idx,
+                rng.normal(size=idx.size).astype(np.float32))))
+            how = rng.integers(0, 3)
+            if how == 0:
+                for bit in rng.integers(0, 8 * len(blob), int(rng.integers(1, 4))):
+                    blob[bit // 8] ^= 0x80 >> (bit % 8)
+            elif how == 1:
+                del blob[int(rng.integers(0, len(blob))):]
+            else:
+                blob += rng.integers(0, 256, int(rng.integers(1, 6)), dtype=np.uint8).tobytes()
+            try:
+                u = deserialize(bytes(blob))
+            except CodecError:
+                continue
+            assert serialize(u) == bytes(blob)
+            if u.indices is not None and u.indices.size:
+                assert u.indices[0] >= 0 and u.indices[-1] <= 2**32 - 1
+                assert np.all(np.diff(u.indices) > 0)

@@ -98,6 +98,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("raw, what", [
+        ({"random_alpha": "x"}, "a number"),
+        ({"choco": {"gamma": "x"}}, "a number"),
+        ({"model": {"init_scale": "a"}}, "a number"),
+        ({"sgd": {"eta": False}}, "a number"),
+        ({"topology": {"dynamic": "no"}}, "a boolean"),
+        ({"ablations": {"wavelet_on": 1}}, "a boolean"),
+        ({"message_dump": 5}, "a string"),
+        ({"model": {"kind": 3}}, "a string"),
+    ])
+    def test_scalar_fields_reject_other_types(self, raw, what):
+        with pytest.raises(ConfigError, match="must be " + what):
+            config_from_dict(raw)
+
+    def test_number_fields_take_integers(self):
+        cfg = config_from_dict({"random_alpha": 1, "sgd": {"eta": 0},
+                                "data": {"test_images": None}})
+        assert cfg.random_alpha == 1 and cfg.sgd.eta == 0
+
     def test_bad_kinds(self):
         with pytest.raises(ConfigError, match="model kind"):
             config_from_dict({"model": {"kind": "cnn"}})
