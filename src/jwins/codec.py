@@ -59,8 +59,10 @@ class SparseUpdate:
     """One decoded (or to-be-encoded) update message.
 
     ``indices`` is None for FULL (implicitly all slots) and for RANDOM_SEED
-    before regeneration. ``byte_size`` and ``meta_bytes`` are the exact wire
-    cost; ``meta_bytes`` counts only the index metadata portion.
+    before regeneration; ``index_slots`` is the slot count a RANDOM_SEED
+    update's ``indices`` were regenerated for. ``byte_size`` and
+    ``meta_bytes`` are the exact wire cost; ``meta_bytes`` counts only the
+    index metadata portion.
     """
 
     round_no: int
@@ -72,6 +74,7 @@ class SparseUpdate:
     index_payload: bytes | None = None
     byte_size: int = 0
     meta_bytes: int = 0
+    index_slots: int | None = None
 
     @property
     def k(self) -> int:
@@ -105,10 +108,12 @@ def elias_gamma_encode(gaps) -> bytes:
         return b""
     if np.any(g <= 0):
         raise CodecError("gamma code is undefined for non-positive integers")
-    # bit_length via frexp; exact for anything below 2**53, far beyond any
-    # index gap a u32-indexed message can produce.
+    # bit_length via frexp. Exact below 2**53; above it the float64 cast can
+    # round up to the next power of two, one bit too many, which the shift
+    # test takes back.
     _, exp = np.frexp(g.astype(np.float64))
     blen = exp.astype(np.int64)
+    blen -= (g >> (blen - 1)) == 0
     starts = np.zeros(g.size + 1, dtype=np.int64)
     np.cumsum(2 * blen - 1, out=starts[1:])
     bits = np.zeros(int(starts[-1]), dtype=np.uint8)
@@ -433,13 +438,26 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     return gaps, start + (last + 7) // 8
 
 
+def regenerate_indices(update: SparseUpdate, coeff_len: int) -> None:
+    """Rebuild a RANDOM_SEED update's index set for receivers of
+    ``coeff_len`` slots, once, so that they share it.
+
+    Other kinds, and an entry count no set of that length can hold, are left
+    as they are; ``resolve_indices`` rejects the latter per receiver.
+    """
+    if update.kind == UpdateKind.RANDOM_SEED and update.k <= coeff_len:
+        update.indices = random_indices(coeff_len, update.k, update.seed)
+        update.index_slots = coeff_len
+
+
 def resolve_indices(update: SparseUpdate, coeff_len: int) -> np.ndarray | None:
     """Index set a receiver should scatter the values into.
 
     FULL (and any update covering every slot) resolves to None, meaning "all
-    slots in order". RANDOM_SEED regenerates the set from the carried seed.
-    Raises CodecError when indices fall outside [0, coeff_len) or the entry
-    count is inconsistent with the slot count.
+    slots in order". RANDOM_SEED takes the set ``regenerate_indices`` built
+    for this slot count, or regenerates it from the carried seed. Raises
+    CodecError when indices fall outside [0, coeff_len) or the entry count is
+    inconsistent with the slot count.
     """
     if update.k > coeff_len:
         raise CodecError("more entries than coefficient slots")
@@ -448,7 +466,10 @@ def resolve_indices(update: SparseUpdate, coeff_len: int) -> np.ndarray | None:
             raise CodecError("dense update with wrong slot count")
         return None
     if update.kind == UpdateKind.RANDOM_SEED:
-        idx = random_indices(coeff_len, update.k, update.seed)
+        if update.index_slots == coeff_len:
+            idx = update.indices
+        else:
+            idx = random_indices(coeff_len, update.k, update.seed)
     else:
         idx = update.indices
         if idx is None:

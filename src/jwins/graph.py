@@ -153,6 +153,9 @@ def save_edge_list(topo: Topology, path) -> None:
 
 
 def load_edge_list(path) -> Topology:
+    """Read a file written by ``save_edge_list``. Raises ValueError on a
+    malformed line, a repeated edge, or a node whose degree is not the
+    header's d."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw:
@@ -169,7 +172,12 @@ def load_edge_list(path) -> Topology:
         a, b = int(parts[0]), int(parts[1])
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise ValueError("bad edge %d-%d" % (a, b))
+        if b in adj[a]:
+            raise ValueError("repeated edge %d-%d" % (a, b))
         adj[a].add(b)
         adj[b].add(a)
+    for i, nb in enumerate(adj):
+        if len(nb) != d:
+            raise ValueError("node %d has degree %d, header says %d" % (i, len(nb), d))
     neighbors = tuple(np.array(sorted(s), dtype=np.int64) for s in adj)
     return Topology(n, d, neighbors, seed)

@@ -106,16 +106,20 @@ class TwoLayerMLP:
         self.features = features
         self.classes = classes
         self.hidden = hidden
-        n1 = hidden * features
-        n2 = classes * hidden
-        self.theta = np.zeros(n1 + hidden + n2 + classes)
-        self.W1 = self.theta[:n1].reshape(hidden, features)
-        self.b1 = self.theta[n1 : n1 + hidden]
-        self.W2 = self.theta[n1 + hidden : n1 + hidden + n2].reshape(classes, hidden)
-        self.b2 = self.theta[n1 + hidden + n2 :]
+        self.theta = np.zeros(hidden * features + hidden + classes * hidden + classes)
+        self.W1, self.b1, self.W2, self.b2 = self._layers(self.theta)
         if rng is not None:
             self.W1[:] = rng.normal(0.0, np.sqrt(2.0 / features), self.W1.shape)
             self.W2[:] = rng.normal(0.0, np.sqrt(2.0 / hidden), self.W2.shape)
+
+    def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """W1, b1, W2, b2 as views into a flat vector of this layout."""
+        n1 = self.hidden * self.features
+        n2 = self.classes * self.hidden
+        return (flat[:n1].reshape(self.hidden, self.features),
+                flat[n1 : n1 + self.hidden],
+                flat[n1 + self.hidden : n1 + self.hidden + n2].reshape(self.classes, self.hidden),
+                flat[n1 + self.hidden + n2 :])
 
     @property
     def param_count(self) -> int:
@@ -130,26 +134,40 @@ class TwoLayerMLP:
             raise ValueError("flat vector length does not match model")
         self.theta[:] = flat
 
+    def _hidden(self, X: np.ndarray) -> np.ndarray:
+        # In place on the one (batch, hidden) product; same bits as
+        # np.maximum(X @ W1.T + b1, 0.0).
+        h = X @ self.W1.T
+        h += self.b1
+        np.maximum(h, 0.0, out=h)
+        return h
+
     def logits(self, X: np.ndarray) -> np.ndarray:
-        h = np.maximum(X @ self.W1.T + self.b1, 0.0)
-        return h @ self.W2.T + self.b2
+        return self._hidden(X) @ self.W2.T + self.b2
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         batch = X.shape[0]
-        pre = X @ self.W1.T + self.b1
-        h = np.maximum(pre, 0.0)
+        h = self._hidden(X)
         logp = _log_softmax(h @ self.W2.T + self.b2)
         loss = -float(logp[np.arange(batch), y].mean())
         dz = np.exp(logp)
         dz[np.arange(batch), y] -= 1.0
         dz /= batch
-        gW2 = dz.T @ h
-        gb2 = dz.sum(axis=0)
+        grad = np.empty_like(self.theta)
+        gW1, gb1, gW2, gb2 = self._layers(grad)
+        np.matmul(dz.T, h, out=gW2)
+        np.sum(dz, axis=0, out=gb2)
         dh = dz @ self.W2
-        dh[pre <= 0.0] = 0.0
-        gW1 = dh.T @ X
-        gb1 = dh.sum(axis=0)
-        grad = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+        # Zero dh where the pre-activation was <= 0, which is where h <= 0
+        # (NaN in neither). ANDing each entry's bits with all zeros or all
+        # ones stores the same bits as a masked assignment, without its
+        # per-entry branch on a mask that is about half true.
+        keep = (h <= 0.0).astype(np.uint64)
+        keep -= 1
+        bits = dh.view(np.uint64)
+        bits &= keep
+        np.matmul(dh.T, X, out=gW1)
+        np.sum(dh, axis=0, out=gb1)
         return loss, grad
 
 
@@ -177,7 +195,8 @@ def local_sgd(model, X: np.ndarray, y: np.ndarray, cfg: SGDConfig,
     for _ in range(cfg.tau):
         idx = rng.choice(X.shape[0], size=cfg.batch_size, replace=replace)
         loss, grad = model.loss_and_grad(X[idx], y[idx])
-        model.theta -= cfg.eta * grad
+        grad *= cfg.eta
+        model.theta -= grad
     return loss
 
 

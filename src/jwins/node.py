@@ -258,18 +258,20 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
             raise ValueError("duplicate sender %d" % sender)
         seen.add(sender)
         w = weights.weight(self_id, sender)
-        v = values.astype(np.float64)
+        # Widen before the product: a float32 times a Python float stays
+        # float32.
+        wv = np.multiply(values, w, dtype=np.float64)
         if idx is None:
-            if v.size != own.size:
+            if wv.size != own.size:
                 raise ValueError("dense contribution with wrong length")
-            acc += w * v
+            acc += wv
             norm += w
             touched[:] = True
         else:
-            acc[idx] += w * v
+            acc[idx] += wv
             norm[idx] += w
             touched[idx] = True
-    result[touched] = acc[touched] / norm[touched]
+    np.divide(acc, norm, out=result, where=touched)
     return result
 
 

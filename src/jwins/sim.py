@@ -392,6 +392,7 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     rt = build_runtime(cfg)
     n = cfg.n
     states = rt.states
+    coeff_len = states[0].coeff_len
     topology = rt.topology
     weights = metropolis_hastings(topology)
     bytes_cum = np.zeros(n, dtype=np.int64)
@@ -414,11 +415,17 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             blobs = [codec.serialize(u) for u in outgoing]
             if dump_fh is not None:
                 codec.write_message_dump(dump_fh, blobs)
-            # Decode once per broadcast message; receivers share the result.
+            # Decode once per broadcast message, and rebuild a seeded index
+            # set once, here before the fan-out; receivers share the result.
             wire = [codec.deserialize(b) for b in blobs]
+            for u in wire:
+                codec.regenerate_indices(u, coeff_len)
             inboxes = [[wire[j] for j in topology.neighbors[i]] for i in range(n)]
             outcomes = node_map(
                 lambda s: finalize_round(s, inboxes[s.node_id], weights, t, rt.pcfg))
+            # Free the decoded updates and their index sets before evaluation
+            # and the next round's training.
+            del wire, inboxes
             for i, oc in enumerate(outcomes):
                 bytes_cum[i] += oc.bytes_sent
                 meta_cum[i] += oc.meta_bytes

@@ -27,10 +27,13 @@ from jwins.codec import (
     make_indexed_update,
     make_seed_update,
     read_message_dump,
+    regenerate_indices,
+    resolve_indices,
     serialize,
     write_message_dump,
     _scan_gamma,
 )
+from jwins.sparsify import random_indices
 
 
 def _reference_scan_gamma(data: bytes, start: int, count: int):
@@ -168,6 +171,25 @@ class TestGamma:
             data = _gamma_bytes([1] * lead + g)
             np.testing.assert_array_equal(elias_gamma_decode(data, lead + len(g)),
                                           [1] * lead + g)
+
+    def test_roundtrip_past_float_precision(self):
+        """Bit lengths stay exact where a float64 cast rounds a gap up to the
+        next power of two."""
+        rng = np.random.default_rng(6)
+        seeded = rng.integers(2**53, 2**63, size=200, dtype=np.int64).tolist()
+        for g in ([2**53 + 1], [2**62 - 1], [2**63 - 1], seeded):
+            np.testing.assert_array_equal(
+                elias_gamma_decode(elias_gamma_encode(g), len(g)), g)
+
+    def test_encoder_matches_reference(self):
+        """Same bytes as the Python-int encoder at every magnitude, so gaps
+        below 2**53 encode as they always did."""
+        rng = np.random.default_rng(8)
+        for bits in range(1, 64):
+            lo, hi = 2 ** (bits - 1), 2**bits - 1
+            g = [lo, hi] + rng.integers(lo, hi, size=20, endpoint=True,
+                                        dtype=np.int64).tolist()
+            assert elias_gamma_encode(g) == _gamma_bytes(g), bits
 
     def test_63_zero_codeword_is_corrupt(self):
         """63 zeros then 64 bits hold a value of 2**63 or more: no int64 gap."""
@@ -348,6 +370,48 @@ class TestMessages:
         assert raw.meta_bytes == 2000
         assert comp.meta_bytes < raw.meta_bytes
         assert raw.kind == UpdateKind.RAW_INDICES
+
+
+class TestResolveSeeded:
+    def _wire(self, k=30, seed=2**64 - 5):
+        u = make_seed_update(3, 1, seed, np.arange(k, dtype=np.float32))
+        return deserialize(serialize(u))
+
+    def test_regenerated_once_and_shared(self):
+        u = self._wire()
+        regenerate_indices(u, 100)
+        want = random_indices(100, 30, u.seed)
+        np.testing.assert_array_equal(u.indices, want)
+        assert resolve_indices(u, 100) is u.indices
+        assert resolve_indices(u, 100) is u.indices
+
+    def test_each_length_gets_its_own_set(self):
+        """A receiver of another length never gets the set built for 100."""
+        for regenerated in (False, True):
+            u = self._wire()
+            if regenerated:
+                regenerate_indices(u, 100)
+            for length in (100, 57, 30, 100):
+                got = resolve_indices(u, length)
+                want = random_indices(length, 30, u.seed)
+                if want.size == length:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    def test_too_many_entries(self):
+        u = self._wire(k=30)
+        regenerate_indices(u, 20)
+        assert u.indices is None and u.index_slots is None
+        with pytest.raises(CodecError, match="more entries"):
+            resolve_indices(u, 20)
+
+    def test_other_kinds_untouched(self):
+        idx = np.array([1, 4, 9])
+        u = deserialize(serialize(make_indexed_update(0, 0, idx, np.ones(3))))
+        regenerate_indices(u, 10)
+        np.testing.assert_array_equal(u.indices, idx)
+        assert u.index_slots is None
 
 
 class TestMessageDump:

@@ -192,3 +192,11 @@ class TestEdgeList:
         p.write_text("3 2 0\n0 5\n")
         with pytest.raises(ValueError):
             load_edge_list(p)
+        # Degrees 3, 2, 2, 1 under a header that says 2.
+        p.write_text("4 2 0\n0 1\n0 2\n0 3\n1 2\n")
+        with pytest.raises(ValueError, match="degree"):
+            load_edge_list(p)
+        for dup in ("0 1", "1 0"):
+            p.write_text("4 2 0\n0 1\n1 2\n2 3\n3 0\n%s\n" % dup)
+            with pytest.raises(ValueError, match="repeated edge"):
+                load_edge_list(p)

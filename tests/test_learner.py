@@ -40,6 +40,87 @@ def _fd_gradient_check(model, X, y, coords, h=1e-5):
         assert abs(grad[c] - fd) / scale < 1e-5, "coord %d: %g vs %g" % (c, grad[c], fd)
 
 
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _reference_logits(model, X):
+    """Out-of-place MLP forward pass: the oracle of ``TwoLayerMLP.logits``."""
+    h = np.maximum(X @ model.W1.T + model.b1, 0.0)
+    return h @ model.W2.T + model.b2
+
+
+def _reference_loss_and_grad(model, X, y):
+    """Out-of-place MLP backprop with a boolean-mask ReLU gradient and a
+    concatenated gradient: the oracle of ``TwoLayerMLP.loss_and_grad``."""
+    batch = X.shape[0]
+    pre = X @ model.W1.T + model.b1
+    h = np.maximum(pre, 0.0)
+    z = h @ model.W2.T + model.b2
+    logp = z - z.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    loss = -float(logp[np.arange(batch), y].mean())
+    dz = np.exp(logp)
+    dz[np.arange(batch), y] -= 1.0
+    dz /= batch
+    dh = dz @ model.W2
+    dh[pre <= 0.0] = 0.0
+    grad = np.concatenate([(dh.T @ X).ravel(), dh.sum(axis=0),
+                           (dz.T @ h).ravel(), dz.sum(axis=0)])
+    return loss, grad
+
+
+def _edge_case_mlp(seed):
+    """MLP and batch with exact-zero and negative pre-activations and -0.0
+    entries in the weights, biases and inputs."""
+    rng = np.random.default_rng(seed)
+    model = TwoLayerMLP(6, 3, hidden=16, rng=rng)
+    model.b1[:] = rng.normal(size=16)
+    model.W1[:4] = 0.0
+    model.b1[:2] = 0.0
+    model.b1[2:4] = -0.0
+    model.W1[4, :3] = -0.0
+    model.W2[0, :3] = -0.0
+    X = rng.normal(size=(12, 6))
+    X[0] = -0.0
+    X[1, :3] = 0.0
+    y = rng.integers(0, 3, 12)
+    pre = X @ model.W1.T + model.b1
+    assert (pre == 0.0).any() and (pre < 0.0).any() and (pre > 0.0).any()
+    return model, X, y
+
+
+class TestInPlaceOracle:
+    """The in-place forward and backward passes keep every output bit of the
+    out-of-place formulation."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logits_bitwise(self, seed):
+        model, X, _ = _edge_case_mlp(seed)
+        np.testing.assert_array_equal(_bits(model.logits(X)),
+                                      _bits(_reference_logits(model, X)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_grad_bitwise(self, seed):
+        model, X, y = _edge_case_mlp(seed)
+        loss, grad = model.loss_and_grad(X, y)
+        want_loss, want_grad = _reference_loss_and_grad(model, X, y)
+        assert _bits(loss) == _bits(want_loss)
+        np.testing.assert_array_equal(_bits(grad), _bits(want_grad))
+
+    def test_local_sgd_bitwise(self):
+        model, X, y = _edge_case_mlp(3)
+        ref = TwoLayerMLP(6, 3, hidden=16)
+        ref.set_flat(model.get_flat())
+        cfg = SGDConfig(eta=0.3, tau=4, batch_size=5)
+        local_sgd(model, X, y, cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for _ in range(cfg.tau):
+            idx = rng.choice(X.shape[0], size=cfg.batch_size, replace=False)
+            ref.theta -= cfg.eta * _reference_loss_and_grad(ref, X[idx], y[idx])[1]
+        np.testing.assert_array_equal(_bits(model.theta), _bits(ref.theta))
+
+
 class TestModels:
     def test_flat_roundtrip_identity(self):
         model = make_model("logreg", 6, 3, rng=np.random.default_rng(0))

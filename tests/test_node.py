@@ -63,7 +63,53 @@ def _sync_round(states, weights, round_no, cfg):
     return outcomes
 
 
+def _reference_sparse_average(own, contributions, weights, self_id):
+    """Boolean-mask formulation: the oracle of ``node.sparse_average``."""
+    result = own.copy()
+    if not contributions:
+        return result
+    w_self = float(weights.self_weight[self_id])
+    acc = w_self * own
+    norm = np.full(own.size, w_self)
+    touched = np.zeros(own.size, dtype=bool)
+    for sender, idx, values in contributions:
+        w = weights.weight(self_id, sender)
+        v = values.astype(np.float64)
+        if idx is None:
+            acc += w * v
+            norm += w
+            touched[:] = True
+        else:
+            acc[idx] += w * v
+            norm[idx] += w
+            touched[idx] = True
+    result[touched] = acc[touched] / norm[touched]
+    return result
+
+
 class TestSparseAverage:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_masked_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        W = metropolis_hastings(generate_regular(10, int(rng.integers(1, 3)) * 2, seed=seed))
+        size = int(rng.integers(1, 400))
+        own = rng.normal(size=size)
+        own[rng.random(size) < 0.2] = -0.0
+        contribs = []
+        for j in W.neighbors[0]:
+            if rng.random() < 0.15:
+                idx = None
+                vals = rng.normal(size=size).astype(np.float32)
+            else:
+                idx = np.sort(rng.choice(size, size=int(rng.integers(0, size + 1)),
+                                         replace=False))
+                vals = rng.normal(size=idx.size).astype(np.float32)
+            vals[rng.random(vals.size) < 0.2] = -0.0
+            contribs.append((int(j), idx, vals))
+        got = sparse_average(own, contribs, W, 0)
+        want = _reference_sparse_average(own, contribs, W, 0)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_hand_worked_triangle(self):
         """Per-slot renormalization over who actually sent that slot."""
         W = _triangle_weights()
@@ -372,6 +418,21 @@ class TestInboxValidation:
                                         np.array([9.0], dtype=np.float32))
         oc = finalize_round(states[0], [bad], W, 0, cfg)
         assert oc.rejected == 1
+
+    def test_seed_update_longer_than_slots_rejected(self):
+        """A seeded update no set of the receiver's length can hold is a
+        rejection, also after the per-message regeneration skipped it."""
+        cfg = ProtocolConfig(algo=Algo.RANDOM, sgd=SGDConfig(eta=0.0, tau=1))
+        W = _pair_weights()
+        state = _make_state(0, cfg, init=np.zeros(10))
+        prepare_round(state, 0, cfg)
+        long = codec.deserialize(codec.serialize(codec.make_seed_update(
+            0, 1, 42, np.ones(11, dtype=np.float32))))
+        codec.regenerate_indices(long, state.coeff_len)
+        assert long.indices is None
+        oc = finalize_round(state, [long], W, 0, cfg)
+        assert oc.rejected == 1
+        np.testing.assert_array_equal(state.model.get_flat(), np.zeros(10))
 
     def test_duplicate_sender_raises(self):
         cfg, W, states = self._jwins_pair()

@@ -6,6 +6,7 @@ real serialize/deserialize boundary every round.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -159,10 +160,35 @@ class TestRunDeterminism:
             run(_tiny(), out_path=p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_worker_count_invariant(self):
-        rows1 = run(_tiny(workers=1))
-        rows3 = run(_tiny(workers=3))
+    @pytest.mark.parametrize("algo", ["jwins", "full", "random", "choco"])
+    def test_worker_count_invariant(self, algo):
+        rows1 = run(_tiny(algo=algo, workers=1))
+        # Frequent thread switches, so that workers interleave on the
+        # decoded updates they share.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows3 = run(_tiny(algo=algo, workers=3))
+        finally:
+            sys.setswitchinterval(interval)
         assert rows1 == rows3
+
+    def test_seeded_indices_built_twice_per_message(self, monkeypatch):
+        """The sender builds its set once, and the simulator once more for
+        all receivers of the decoded message."""
+        from jwins import node, sim, sparsify
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sparsify.random_indices(*args)
+
+        for mod in (node, codec, sim):
+            monkeypatch.setattr(mod, "random_indices", counting)
+        cfg = _tiny(algo="random", n=6, rounds=4)
+        run(cfg)
+        assert len(calls) == 2 * cfg.n * cfg.rounds
 
     def test_seed_changes_results(self):
         rows_a = run(_tiny())
