@@ -150,10 +150,15 @@ class NodeState:
 
 
 def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
-    """Phase one: local training plus building the outgoing update."""
-    x0 = state.model.get_flat()
+    """Phase one: local training plus building the outgoing update.
+
+    The post-training parameters x_tau are kept as the model's own vector,
+    not a copy: nothing writes the model until ``finalize_round`` sets x_next.
+    """
+    # Only the wavelet protocol scores the training delta, so only it needs x0.
+    x0 = state.model.get_flat() if state.algo == Algo.JWINS else None
     local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
-    x_tau = state.model.get_flat()
+    x_tau = state.model.theta
 
     if state.algo == Algo.JWINS:
         accumulate_training_delta(state.acc, x0, x_tau, state.spec)
@@ -245,9 +250,8 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
     ``contributions`` is a list of (sender, indices, values); indices None
     means a dense contribution covering every slot.
     """
-    result = own.copy()
     if not contributions:
-        return result
+        return own.copy()
     w_self = float(weights.self_weight[self_id])
     acc = w_self * own
     norm = np.full(own.size, w_self)
@@ -271,8 +275,14 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
             acc[idx] += wv
             norm[idx] += w
             touched[idx] = True
-    np.divide(acc, norm, out=result, where=touched)
-    return result
+    # Every slot is divided, then the untouched ones get their own value
+    # back: cheaper than a masked divide. With a zero self weight an
+    # untouched slot divides 0 by 0 before it is overwritten.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(acc, norm, out=acc)
+    untouched = np.flatnonzero(~touched)
+    acc[untouched] = own[untouched]
+    return acc
 
 
 def finalize_round(state: NodeState, inbox, weights: MixingWeights,

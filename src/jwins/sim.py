@@ -6,6 +6,12 @@ then all nodes finalize (average the updates that reached them). Every
 update crosses a real serialize/deserialize boundary, so traffic accounting
 is byte-exact and the codec is exercised on every message.
 
+With ``workers`` above 1 a thread pool runs each phase's per-node work, the
+decoding of each round's messages and the evaluations; numpy and BLAS
+release the GIL, so wide models use more than one CPU. Left unset, the
+worker count comes from the machine, the model and the algorithm
+(``pool_size``).
+
 Determinism: the run seed fans out through named SeedSequence spawns (model
 init, partition, data, topology, and three per-node streams), so a config
 reproduces its metrics file byte for byte, regardless of worker count.
@@ -14,6 +20,7 @@ reproduces its metrics file byte for byte, regardless of worker count.
 from __future__ import annotations
 
 import json
+import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -61,6 +68,11 @@ _TAG_TOPOLOGY = 4
 _TAG_NODE_DATA = 5
 _TAG_NODE_ALPHA = 6
 _TAG_NODE_MISC = 7
+
+# Parameter count from which an unset ``workers`` uses every usable CPU. Below
+# it a node's share of a round is too short to win back the pool's hand-offs
+# (README has the measured break-even table).
+POOL_MIN_PARAMS = 2**15
 
 
 class ConfigError(ValueError):
@@ -120,7 +132,7 @@ class RunConfig:
     seed: int = 1234
     rounds: int = 200
     eval_every: int = 10
-    workers: int = 1
+    workers: int | None = None
     random_alpha: float = 0.37
     wavelet_levels: int = 4
     message_dump: str | None = None
@@ -240,7 +252,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("need at least one round")
     if cfg.eval_every < 1:
         raise ConfigError("eval_every must be positive")
-    if cfg.workers < 1:
+    if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError("workers must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
@@ -375,6 +387,28 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     return Runtime(cfg, pcfg, train, test, states, topology, topo_seed)
 
 
+def pool_size(workers: int | None, n: int, param_count: int, algo: str) -> int:
+    """Threads that run a round's per-node work; 1 means no pool.
+
+    An explicit ``workers`` is used as given. Unset, jwins runs serially, and
+    for the other algorithms a model of at least ``POOL_MIN_PARAMS``
+    parameters gets every usable CPU, up to one per node, while a smaller one
+    runs serially. A pooled run's speed follows how much of the second CPU
+    the machine's other load leaves free. jwins keeps the serial timing,
+    which barely moves, because its wavelet and codec layers are the ones
+    timed run against run (README).
+    """
+    if workers is not None:
+        return workers
+    if algo == Algo.JWINS.value or param_count < POOL_MIN_PARAMS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n)
+
+
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -398,31 +432,36 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     bytes_cum = np.zeros(n, dtype=np.int64)
     meta_cum = np.zeros(n, dtype=np.int64)
     rows: list[tuple] = []
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    workers = pool_size(cfg.workers, n, states[0].model.param_count, cfg.algo)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     dump_fh = open(cfg.message_dump, "wb") if cfg.message_dump else None
 
-    def node_map(fn):
+    def pool_map(fn, items):
+        """``fn`` over ``items``, results in item order."""
         if pool is None:
-            return [fn(s) for s in states]
-        return list(pool.map(fn, states))
+            return [fn(x) for x in items]
+        return list(pool.map(fn, items))
+
+    def decode(blob):
+        # Decode once per broadcast message and rebuild a seeded index set
+        # once, before the fan-out; receivers share the result.
+        update = codec.deserialize(blob)
+        codec.regenerate_indices(update, coeff_len)
+        return update
 
     try:
         for t in range(cfg.rounds):
             if cfg.topology.dynamic and n > 1:
                 topology = reshuffle(topology, t, rt.topo_seed)
                 weights = metropolis_hastings(topology)
-            outgoing = node_map(lambda s: prepare_round(s, t, rt.pcfg))
+            outgoing = pool_map(lambda s: prepare_round(s, t, rt.pcfg), states)
             blobs = [codec.serialize(u) for u in outgoing]
             if dump_fh is not None:
                 codec.write_message_dump(dump_fh, blobs)
-            # Decode once per broadcast message, and rebuild a seeded index
-            # set once, here before the fan-out; receivers share the result.
-            wire = [codec.deserialize(b) for b in blobs]
-            for u in wire:
-                codec.regenerate_indices(u, coeff_len)
+            wire = pool_map(decode, blobs)
             inboxes = [[wire[j] for j in topology.neighbors[i]] for i in range(n)]
-            outcomes = node_map(
-                lambda s: finalize_round(s, inboxes[s.node_id], weights, t, rt.pcfg))
+            outcomes = pool_map(
+                lambda s: finalize_round(s, inboxes[s.node_id], weights, t, rt.pcfg), states)
             # Free the decoded updates and their index sets before evaluation
             # and the next round's training.
             del wire, inboxes
@@ -430,8 +469,8 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
                 bytes_cum[i] += oc.bytes_sent
                 meta_cum[i] += oc.meta_bytes
             if (t + 1) % cfg.eval_every == 0 or t == cfg.rounds - 1:
-                scores = node_map(lambda s: evaluate(s.model, rt.test.features,
-                                                     rt.test.labels))
+                scores = pool_map(lambda s: evaluate(s.model, rt.test.features,
+                                                     rt.test.labels), states)
                 alphas = [oc.alpha_used for oc in outcomes]
                 for i in range(n):
                     rows.append((t + 1, str(i), scores[i][0], scores[i][1],

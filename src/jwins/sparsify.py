@@ -179,9 +179,12 @@ def random_indices(coeff_len: int, k: int, seed: int) -> np.ndarray:
     if k == coeff_len:
         return np.arange(coeff_len, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(coeff_len, size=k, replace=False)
-    idx.sort()
-    return idx.astype(np.int64)
+    # Unshuffled draw, sorted through a mask: the same set as the shuffled
+    # draw (the shuffle only reorders it) without a sort.
+    idx = rng.choice(coeff_len, size=k, replace=False, shuffle=False)
+    mask = np.zeros(coeff_len, dtype=bool)
+    mask[idx] = True
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def select_random(coeff_len: int, alpha: float, seed: int) -> Selection:

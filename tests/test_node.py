@@ -110,6 +110,21 @@ class TestSparseAverage:
         want = _reference_sparse_average(own, contribs, W, 0)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_zero_self_weight_matches_reference_without_warning(self):
+        """A zero self weight leaves 0/0 in the untouched slots before they
+        get the node's own value back; that divide must not warn."""
+        W = _triangle_weights()
+        W.self_weight = np.zeros(3)
+        W.edge_weights = tuple(np.full(2, 0.5) for _ in range(3))
+        rng = np.random.default_rng(3)
+        own = rng.normal(size=50)
+        contribs = [(1, np.array([0, 4, 9, 30]), rng.normal(size=4).astype(np.float32)),
+                    (2, np.array([4, 5, 49]), rng.normal(size=3).astype(np.float32))]
+        with np.errstate(all="raise"):
+            got = sparse_average(own, contribs, W, 0)
+        want = _reference_sparse_average(own, contribs, W, 0)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_hand_worked_triangle(self):
         """Per-slot renormalization over who actually sent that slot."""
         W = _triangle_weights()

@@ -11,15 +11,17 @@ import sys
 import numpy as np
 import pytest
 
-from jwins import cli, codec
+from jwins import cli, codec, sim
 from jwins.sim import (
     METRICS_HEADER,
+    POOL_MIN_PARAMS,
     PROBE_HEADER,
     ConfigError,
     RunConfig,
     compare,
     config_from_dict,
     load_config,
+    pool_size,
     read_metrics,
     reconstruction_probe,
     run,
@@ -94,7 +96,8 @@ class TestConfig:
                 config_from_dict(bad)
 
     @pytest.mark.parametrize("raw", [{"n": "abc"}, {"topology": {"d": "2"}}, {"n": True},
-                                     {"rounds": 2.5}, {"seed": 1.5}])
+                                     {"rounds": 2.5}, {"seed": 1.5}, {"workers": 1.5},
+                                     {"workers": True}, {"workers": "auto"}])
     def test_integer_fields_reject_other_types(self, raw):
         with pytest.raises(ConfigError, match="must be an integer"):
             config_from_dict(raw)
@@ -112,6 +115,11 @@ class TestConfig:
     def test_scalar_fields_reject_other_types(self, raw, what):
         with pytest.raises(ConfigError, match="must be " + what):
             config_from_dict(raw)
+
+    def test_workers_unset_by_default(self):
+        assert config_from_dict({}).workers is None
+        assert config_from_dict({"workers": None}).workers is None
+        assert config_from_dict({"workers": 2}).workers == 2
 
     def test_number_fields_take_integers(self):
         cfg = config_from_dict({"random_alpha": 1, "sgd": {"eta": 0},
@@ -151,6 +159,50 @@ class TestConfig:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert load_config(path).n == RunConfig().n
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("workers, cpus, n, params, algo, want", [
+        (None, 1, 16, 60_426, "random", 1),                 # one CPU: serial
+        (None, 2, 16, POOL_MIN_PARAMS - 1, "random", 1),    # small model: serial
+        (None, 2, 16, POOL_MIN_PARAMS, "random", 2),        # wide model: every CPU
+        (None, 8, 16, 60_426, "full", 8),
+        (None, 8, 16, 60_426, "choco", 8),
+        (None, 8, 3, 60_426, "random", 3),                  # at most one worker per node
+        (None, 8, 1, 60_426, "random", 1),
+        (None, 8, 16, 60_426, "jwins", 1),                  # jwins: serial at any size
+        (None, 2, 16, POOL_MIN_PARAMS, "jwins", 1),
+        (3, 2, 4, 100, "random", 3),                        # an explicit count overrides
+        (2, 2, 16, 60_426, "jwins", 2),
+        (1, 2, 16, 60_426, "random", 1),
+    ])
+    def test_rule(self, monkeypatch, workers, cpus, n, params, algo, want):
+        _cpus(monkeypatch, cpus)
+        assert pool_size(workers, n, params, algo) == want
+
+    @pytest.mark.parametrize("algo, pools", [("jwins", []), ("random", [2]), ("full", [2])])
+    def test_default_on_wide_model(self, monkeypatch, algo, pools):
+        """An unset ``workers`` on a model above the threshold runs on a
+        pool, except under jwins, and gives the rows of a serial run."""
+        cfg = _tiny(algo=algo, rounds=2, eval_every=1, data={"dims": 48},
+                    model={"kind": "mlp", "hidden": 640})
+        serial = run(config_from_dict({**cfg.resolved(), "workers": 1}))
+        _cpus(monkeypatch, 2)
+        sizes = []
+        real_pool = sim.ThreadPoolExecutor
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", pool)
+        assert cfg.workers is None
+        assert run(cfg) == serial
+        assert sizes == pools
 
 
 class TestRunDeterminism:

@@ -236,7 +236,27 @@ class TestReset:
             reset_selected(acc, Selection(np.array([5]), 0.5))
 
 
+def _reference_random_indices(coeff_len, k, seed):
+    """Shuffled draw plus a sort: the oracle of ``random_indices``."""
+    if k == coeff_len:
+        return np.arange(coeff_len, dtype=np.int64)
+    idx = np.random.default_rng(seed).choice(coeff_len, size=k, replace=False)
+    idx.sort()
+    return idx.astype(np.int64)
+
+
 class TestRandomSelection:
+    # Lengths on both sides of numpy's switch from Floyd's algorithm to a
+    # tail shuffle (more than 10,000 slots and k above 1/50 of them).
+    @pytest.mark.parametrize("coeff_len", [1, 2, 10, 500, 60_426])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+    def test_matches_sorted_shuffled_draw(self, coeff_len, seed):
+        ks = {0, 1, coeff_len // 3, int(0.37 * coeff_len), coeff_len - 1, coeff_len}
+        for k in sorted(ks):
+            got = random_indices(coeff_len, k, seed)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _reference_random_indices(coeff_len, k, seed))
+
     def test_alpha_one_all_indices(self):
         sel = select_random(10, 1.0, seed=123)
         np.testing.assert_array_equal(sel.indices, np.arange(10))
