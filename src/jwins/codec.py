@@ -1,17 +1,17 @@
 """Wire format for model updates and the compressed index metadata.
 
-Every message starts with a fixed 13-byte header: round (u32), sender (u32),
-kind (u8), entry count K (u32), all little-endian. The payload depends on the
-kind:
+Every message has one layout: a fixed 13-byte header (round u32, sender u32,
+kind u8, entry count K u32, all little-endian), then the kind's metadata
+bytes, then K float32 values. A message is ``HEADER_LEN + len(metadata) +
+4K`` bytes long. The kind only decides what the metadata holds:
 
-* FULL            -- K float32 values, nothing else.
-* JWINS_INDICES   -- Elias-gamma coded index gaps (byte-aligned), then K
-                     float32 values.
-* RANDOM_SEED     -- one u64 seed, then K float32 values. The receiver
-                     regenerates the index set from (seed, K).
-* RAW_INDICES     -- K u32 indices, then K float32 values. Same content as
-                     JWINS_INDICES without metadata compression; kept for the
-                     compression-off ablation.
+* FULL            -- nothing; the values cover every slot in order.
+* JWINS_INDICES   -- Elias-gamma coded index gaps, byte-aligned.
+* RANDOM_SEED     -- one u64 seed. The receiver regenerates the index set
+                     from (seed, K).
+* RAW_INDICES     -- K u32 indices. Same content as JWINS_INDICES without
+                     metadata compression; kept for the compression-off
+                     ablation.
 
 Gap coding: for sorted indices i_0 < i_1 < ..., the gaps are i_0 + 1 followed
 by the successive differences, so every gap is a positive integer. Elias
@@ -58,11 +58,10 @@ _MAX_GAMMA_ZEROS = 64
 class SparseUpdate:
     """One decoded (or to-be-encoded) update message.
 
-    ``indices`` is None for FULL (implicitly all slots) and for RANDOM_SEED
-    before regeneration; ``index_slots`` is the slot count a RANDOM_SEED
-    update's ``indices`` were regenerated for. ``byte_size`` and
-    ``meta_bytes`` are the exact wire cost; ``meta_bytes`` counts only the
-    index metadata portion.
+    ``index_payload`` is the metadata as it goes on the wire (empty for
+    FULL). ``indices`` is None for FULL (implicitly all slots) and for
+    RANDOM_SEED before regeneration; ``index_slots`` is the slot count a
+    RANDOM_SEED update's ``indices`` were regenerated for.
     """
 
     round_no: int
@@ -71,14 +70,22 @@ class SparseUpdate:
     values: np.ndarray
     indices: np.ndarray | None = None
     seed: int | None = None
-    index_payload: bytes | None = None
-    byte_size: int = 0
-    meta_bytes: int = 0
+    index_payload: bytes = b""
     index_slots: int | None = None
 
     @property
     def k(self) -> int:
         return int(self.values.size)
+
+    @property
+    def meta_bytes(self) -> int:
+        """Wire bytes of the index metadata alone."""
+        return len(self.index_payload)
+
+    @property
+    def byte_size(self) -> int:
+        """Exact wire bytes of the whole message."""
+        return HEADER_LEN + len(self.index_payload) + 4 * self.k
 
 
 def indices_to_gaps(indices: np.ndarray) -> np.ndarray:
@@ -186,9 +193,7 @@ def _check_ids(round_no: int, sender: int) -> None:
 def make_full_update(round_no: int, sender: int, values) -> SparseUpdate:
     """Dense update: every slot, values in slot order."""
     _check_ids(round_no, sender)
-    v = _as_f32(values)
-    size = HEADER_LEN + 4 * v.size
-    return SparseUpdate(round_no, sender, UpdateKind.FULL, v, byte_size=size, meta_bytes=0)
+    return SparseUpdate(round_no, sender, UpdateKind.FULL, _as_f32(values))
 
 
 def make_indexed_update(
@@ -214,60 +219,23 @@ def make_indexed_update(
             raise CodecError("indices not strictly increasing")
         payload = idx.astype("<u4").tobytes()
         kind = UpdateKind.RAW_INDICES
-    size = HEADER_LEN + len(payload) + 4 * v.size
-    return SparseUpdate(
-        round_no,
-        sender,
-        kind,
-        v,
-        indices=idx,
-        index_payload=payload,
-        byte_size=size,
-        meta_bytes=len(payload),
-    )
+    return SparseUpdate(round_no, sender, kind, v, indices=idx, index_payload=payload)
 
 
 def make_seed_update(round_no: int, sender: int, seed: int, values) -> SparseUpdate:
     """Sparse update whose index set is regenerated from a shared seed."""
     _check_ids(round_no, sender)
+    seed = int(seed)
     if not 0 <= seed < 2**64:
         raise CodecError("seed out of range")
-    v = _as_f32(values)
-    size = HEADER_LEN + 8 + 4 * v.size
-    return SparseUpdate(
-        round_no,
-        sender,
-        UpdateKind.RANDOM_SEED,
-        v,
-        seed=int(seed),
-        byte_size=size,
-        meta_bytes=8,
-    )
+    return SparseUpdate(round_no, sender, UpdateKind.RANDOM_SEED, _as_f32(values),
+                        seed=seed, index_payload=_SEED.pack(seed))
 
 
 def serialize(update: SparseUpdate) -> bytes:
-    """Exact wire bytes for an update; length always equals ``byte_size``."""
+    """Exact wire bytes for an update: header, metadata, values."""
     head = HEADER.pack(update.round_no, update.sender, int(update.kind), update.k)
-    body = update.values.astype("<f4").tobytes()
-    if update.kind == UpdateKind.FULL:
-        out = head + body
-    elif update.kind == UpdateKind.JWINS_INDICES:
-        payload = update.index_payload
-        if payload is None:
-            payload = encode_indices(update.indices)
-        out = head + payload + body
-    elif update.kind == UpdateKind.RAW_INDICES:
-        payload = update.index_payload
-        if payload is None:
-            payload = np.asarray(update.indices, dtype="<u4").tobytes()
-        out = head + payload + body
-    elif update.kind == UpdateKind.RANDOM_SEED:
-        out = head + _SEED.pack(update.seed) + body
-    else:
-        raise CodecError("unknown update kind %r" % (update.kind,))
-    if update.byte_size and len(out) != update.byte_size:
-        raise CodecError("serialized length disagrees with byte_size")
-    return out
+    return head + update.index_payload + update.values.astype("<f4").tobytes()
 
 
 def deserialize(data: bytes) -> SparseUpdate:
@@ -286,8 +254,6 @@ def deserialize(data: bytes) -> SparseUpdate:
     body_at = HEADER_LEN
     indices = None
     seed = None
-    payload = None
-    meta = 0
     if kind == UpdateKind.JWINS_INDICES:
         # A valid message needs >= 1 metadata bit and 4 value bytes per entry;
         # reject impossible counts before the scanner allocates anything.
@@ -302,8 +268,6 @@ def deserialize(data: bytes) -> SparseUpdate:
         indices = gaps_to_indices(gaps)
         if indices.size and int(indices[-1]) > _U32_MAX:
             raise CodecError("index out of range")
-        payload = data[HEADER_LEN:body_at]
-        meta = len(payload)
     elif kind == UpdateKind.RAW_INDICES:
         body_at = HEADER_LEN + 4 * k
         if len(data) < body_at:
@@ -311,31 +275,19 @@ def deserialize(data: bytes) -> SparseUpdate:
         indices = np.frombuffer(data, dtype="<u4", count=k, offset=HEADER_LEN).astype(np.int64)
         if indices.size > 1 and np.any(np.diff(indices) <= 0):
             raise CodecError("indices not strictly increasing")
-        payload = data[HEADER_LEN:body_at]
-        meta = 4 * k
     elif kind == UpdateKind.RANDOM_SEED:
-        body_at = HEADER_LEN + 8
+        body_at = HEADER_LEN + _SEED.size
         if len(data) < body_at:
             raise CodecError("truncated stream")
         (seed,) = _SEED.unpack_from(data, HEADER_LEN)
-        meta = 8
     end = body_at + 4 * k
     if len(data) < end:
         raise CodecError("truncated stream")
     if len(data) > end:
         raise CodecError("length overrun")
     values = np.frombuffer(data, dtype="<f4", count=k, offset=body_at).copy()
-    return SparseUpdate(
-        round_no,
-        sender,
-        kind,
-        values,
-        indices=indices,
-        seed=seed,
-        index_payload=payload,
-        byte_size=len(data),
-        meta_bytes=meta,
-    )
+    return SparseUpdate(round_no, sender, kind, values, indices=indices, seed=seed,
+                        index_payload=data[HEADER_LEN:body_at])
 
 
 _NO_ONE = 1 << 40

@@ -42,6 +42,7 @@ from .learner import (
     SGDConfig,
     evaluate,
     load_idx,
+    local_sgd,
     make_model,
     shard_partition,
     synth_blobs,
@@ -54,8 +55,17 @@ from .node import (
     finalize_round,
     prepare_round,
 )
-from .sparsify import AlphaDistribution, random_indices, selection_size, top_indices
-from .wavelet import WaveletCoeffs, coeff_length, dwt, idwt, sym2_filters
+from .sparsify import (
+    DEFAULT_ALPHA_SUPPORT,
+    AlphaDistribution,
+    accumulate_training_delta,
+    new_accumulator,
+    random_indices,
+    reset_selected,
+    select_topk,
+    selection_size,
+)
+from .wavelet import WaveletCoeffs, dwt, idwt, sym2_filters
 
 METRICS_HEADER = "round,node,test_loss,test_acc,bytes_cum,bytes_meta_cum,alpha"
 PROBE_HEADER = "round,mse_wavelet,mse_random,cum_mse_wavelet,cum_mse_random"
@@ -120,12 +130,6 @@ class ChocoCfg:
 
 
 @dataclass
-class AlphaCfg:
-    support: tuple[float, ...] = tuple(AlphaDistribution().support)
-    probs: tuple[float, ...] = tuple(AlphaDistribution().probs)
-
-
-@dataclass
 class RunConfig:
     algo: str = "jwins"
     n: int = 16
@@ -141,7 +145,7 @@ class RunConfig:
     data: DataCfg = field(default_factory=DataCfg)
     partition: PartitionCfg = field(default_factory=PartitionCfg)
     sgd: SGDConfig = field(default_factory=SGDConfig)
-    alpha: AlphaCfg = field(default_factory=AlphaCfg)
+    alpha: AlphaDistribution = field(default_factory=AlphaDistribution)
     choco: ChocoCfg = field(default_factory=ChocoCfg)
     ablations: Ablations = field(default_factory=Ablations)
 
@@ -207,6 +211,27 @@ def _build_section(cls, raw: dict, where: str):
         raise ConfigError("bad %s config: %s" % (where, exc)) from exc
 
 
+def _build_alpha(raw: dict) -> AlphaDistribution:
+    """The cut-off distribution of an ``alpha`` section; ``probs`` defaults
+    to uniform over ``support``."""
+    lists = {}
+    allowed, _ = _SCALAR_TYPES[float]
+    for key, value in raw.items():
+        if key not in ("support", "probs"):
+            raise ConfigError("unknown config key %r in alpha" % key)
+        if not isinstance(value, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, allowed) for v in value):
+            raise ConfigError("alpha.%s must be a list of numbers, got %r" % (key, value))
+        lists[key] = tuple(float(v) for v in value)
+    support = lists.get("support", DEFAULT_ALPHA_SUPPORT)
+    try:
+        if "probs" in lists:
+            return AlphaDistribution(support, lists["probs"])
+        return AlphaDistribution.uniform(support)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a raw mapping (e.g. parsed YAML) into a RunConfig."""
     if not isinstance(raw, dict):
@@ -223,15 +248,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         elif key == "alpha":
             if not isinstance(value, dict):
                 raise ConfigError("config section 'alpha' must be a mapping")
-            extra = set(value) - {"support", "probs"}
-            if extra:
-                raise ConfigError("unknown config key %r in alpha" % extra.pop())
-            support = tuple(float(a) for a in value.get("support", AlphaCfg().support))
-            if "probs" in value:
-                probs = tuple(float(p) for p in value["probs"])
-            else:
-                probs = tuple(1.0 / len(support) for _ in support)
-            kwargs[key] = AlphaCfg(support, probs)
+            kwargs[key] = _build_alpha(value)
         else:
             kwargs[key] = value
     _check_types(RunConfig, kwargs, "")
@@ -274,15 +291,7 @@ def _validate(cfg: RunConfig) -> None:
             if getattr(cfg.data, attr) is None:
                 raise ConfigError("idx data needs %s" % attr)
     try:
-        AlphaDistribution(cfg.alpha.support, cfg.alpha.probs)
-        ProtocolConfig(
-            algo=Algo(cfg.algo),
-            sgd=cfg.sgd,
-            random_alpha=cfg.random_alpha,
-            choco_gamma=cfg.choco.gamma,
-            choco_alpha=cfg.choco.alpha,
-            wavelet_levels=cfg.wavelet_levels,
-        )
+        _protocol_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -331,7 +340,7 @@ def _protocol_config(cfg: RunConfig) -> ProtocolConfig:
     return ProtocolConfig(
         algo=Algo(cfg.algo),
         sgd=cfg.sgd,
-        alpha=AlphaDistribution(cfg.alpha.support, cfg.alpha.probs),
+        alpha=cfg.alpha,
         random_alpha=cfg.random_alpha,
         choco_gamma=cfg.choco.gamma,
         choco_alpha=cfg.choco.alpha,
@@ -556,27 +565,22 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     state = rt.states[0]
     spec = sym2_filters(cfg.wavelet_levels)
     plen = state.model.param_count
-    clen = coeff_length(plen, cfg.wavelet_levels)
     layout = dwt(state.model.get_flat(), spec).layout
-    k_wave = selection_size(budget, clen)
     k_rand = selection_size(budget, plen)
     x_prev = state.model.get_flat()
     recon_coeffs = dwt(x_prev, spec).data.copy()
     recon_params = x_prev.copy()
-    scores = np.zeros(clen)
+    acc = new_accumulator(recon_coeffs.size)
     cum_w = 0.0
     cum_r = 0.0
     rows = []
-    from .learner import local_sgd
-
     for t in range(cfg.rounds):
         local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
         x = state.model.get_flat()
-        coeffs = dwt(x, spec).data
-        scores += dwt(x - x_prev, spec).data
-        sel = top_indices(scores, k_wave)
-        recon_coeffs[sel] = coeffs[sel]
-        scores[sel] = 0.0
+        accumulate_training_delta(acc, x_prev, x, spec)
+        sel = select_topk(acc, budget)
+        recon_coeffs[sel.indices] = dwt(x, spec).data[sel.indices]
+        reset_selected(acc, sel)
         approx = idwt(WaveletCoeffs(recon_coeffs, layout, plen), spec)
         mse_w = float(np.mean((x - approx) ** 2))
         seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))

@@ -101,8 +101,7 @@ class AlphaDistribution:
     @classmethod
     def uniform(cls, support) -> "AlphaDistribution":
         support = tuple(float(a) for a in support)
-        p = 1.0 / len(support)
-        return cls(support, tuple(p for _ in support))
+        return cls(support, tuple(1.0 / len(support) for _ in support))
 
     def mean(self) -> float:
         return float(sum(a * p for a, p in zip(self.support, self.probs)))

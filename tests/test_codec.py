@@ -276,7 +276,13 @@ class TestMessages:
             make_seed_update(1, 2, 2**63 + 11, vals),
         ]
         for u in cases:
-            v = deserialize(serialize(u))
+            blob = serialize(u)
+            # One layout for every kind: header, metadata bytes, values.
+            head = HEADER.pack(u.round_no, u.sender, int(u.kind), u.k)
+            assert blob == head + u.index_payload + u.values.astype("<f4").tobytes()
+            assert len(blob) == u.byte_size
+            v = deserialize(blob)
+            assert v.index_payload == u.index_payload
             assert v.kind == u.kind
             assert v.round_no == u.round_no and v.sender == u.sender
             assert v.byte_size == u.byte_size and v.meta_bytes == u.meta_bytes

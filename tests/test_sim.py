@@ -5,6 +5,7 @@ low-dimensional blobs) so the whole file stays fast while still crossing the
 real serialize/deserialize boundary every round.
 """
 
+import hashlib
 import json
 import sys
 
@@ -111,6 +112,11 @@ class TestConfig:
         ({"ablations": {"wavelet_on": 1}}, "a boolean"),
         ({"message_dump": 5}, "a string"),
         ({"model": {"kind": 3}}, "a string"),
+        ({"alpha": {"support": 5}}, "a list of numbers"),
+        ({"alpha": {"probs": 0.5}}, "a list of numbers"),
+        ({"alpha": {"support": None}}, "a list of numbers"),
+        ({"alpha": {"support": [0.1, True]}}, "a list of numbers"),
+        ({"alpha": {"probs": [0.5, "x"]}}, "a list of numbers"),
     ])
     def test_scalar_fields_reject_other_types(self, raw, what):
         with pytest.raises(ConfigError, match="must be " + what):
@@ -140,6 +146,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sum to 1"):
             config_from_dict({"alpha": {"support": [0.1, 0.2],
                                         "probs": [0.5, 0.1]}})
+        with pytest.raises(ConfigError, match="non-empty"):
+            config_from_dict({"alpha": {"support": []}})
 
     def test_alpha_defaults_to_uniform(self):
         cfg = config_from_dict({"alpha": {"support": [0.2, 0.4]}})
@@ -352,6 +360,46 @@ class TestMetricsRows:
         empty.write_text("")
         with pytest.raises(ValueError, match="schema mismatch"):
             read_metrics(empty)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestGolden:
+    """Exact output bytes, pinned as SHA-256 16-hex prefixes.
+
+    Metrics and probe files are hashed below their comment lines, so a new
+    config field (which moves the provenance line) leaves these alone. A
+    change that moves these bits on purpose re-baselines the hashes in one
+    commit and records the old and new values in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("over, want", [
+        ({"algo": "jwins"}, "dd508bae82da03fd"),
+        ({"algo": "full"}, "1fd5a1965fb6665c"),
+        ({"algo": "random"}, "b11c2cb93af38db1"),
+        ({"algo": "choco"}, "f89a03122d6f66bd"),
+        ({"algo": "jwins", "topology": {"dynamic": True}}, "4ac674db1de3ccd6"),
+    ])
+    def test_metrics_body(self, tmp_path, over, want):
+        path = tmp_path / "metrics.csv"
+        run(_tiny(**over), out_path=path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        assert head.startswith(b"# config: ")
+        assert _digest(body) == want
+
+    def test_message_dump(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        run(_tiny(rounds=3, message_dump=str(path)))
+        assert _digest(path.read_bytes()) == "a2c0e7cd0326ec98"
+
+    def test_probe_body(self, tmp_path):
+        path = tmp_path / "probe.csv"
+        reconstruction_probe(_tiny(n=1, rounds=5, eval_every=5), 0.1, out_path=path)
+        config, budget, body = path.read_bytes().split(b"\n", 2)
+        assert config.startswith(b"# config: ") and budget == b"# budget: 0.1"
+        assert _digest(body) == "3d483b69de1b058f"
 
 
 class TestMessageDump:

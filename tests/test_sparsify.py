@@ -140,6 +140,8 @@ class TestAlpha:
         with pytest.raises(ValueError):
             AlphaDistribution((), ())
         with pytest.raises(ValueError):
+            AlphaDistribution.uniform(())
+        with pytest.raises(ValueError):
             AlphaDistribution((0.5, 1.5), (0.5, 0.5))
         with pytest.raises(ValueError):
             AlphaDistribution((0.5, 0.6), (0.7, 0.7))
