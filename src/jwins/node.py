@@ -7,7 +7,7 @@ message before anyone averages:
   what to share, and returns the outgoing update.
 * ``finalize_round`` takes the inbox of neighbor updates, averages in the
   shared domain, writes the averaged parameters back into the model, and
-  settles the importance accumulator for the next round.
+  settles the importance scores for the next round.
 
 Four algorithms share this skeleton: the wavelet protocol (sparse updates in
 the wavelet domain picked by accumulated importance with a randomized
@@ -29,18 +29,16 @@ from .graph import MixingWeights
 from .learner import SGDConfig, local_sgd
 from .sparsify import (
     AlphaDistribution,
-    Selection,
     accumulate_averaging_delta,
     accumulate_training_delta,
     draw_alpha,
-    new_accumulator,
     random_indices,
     reset_selected,
     select_topk,
     selection_size,
     top_indices,
 )
-from .wavelet import WaveletCoeffs, coeff_layout, coeff_length, dwt, idwt, sym2_filters
+from .wavelet import coeff_length, dwt, idwt
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +54,12 @@ class Algo(str, Enum):
 class Ablations:
     """Feature switches for the wavelet protocol.
 
-    wavelet_on=False ranks and shares raw parameter deltas (identity
-    transform); accumulation_on=False overwrites the score vector each round
-    instead of summing; random_cutoff_on=False pins the cut-off fraction to
-    the distribution mean; metadata_compression_on=False ships raw u32
-    indices instead of gamma-coded gaps.
+    wavelet_on=False ranks and shares raw parameter deltas: the transform
+    runs at 0 levels, which is the identity; accumulation_on=False
+    overwrites the score vector each round instead of summing;
+    random_cutoff_on=False pins the cut-off fraction to the distribution
+    mean; metadata_compression_on=False ships raw u32 indices instead of
+    gamma-coded gaps.
     """
 
     wavelet_on: bool = True
@@ -89,6 +88,8 @@ class ProtocolConfig:
             raise ValueError("consensus step size must lie in [0, 1]")
         if not 0.0 < self.choco_alpha <= 1.0:
             raise ValueError("choco sparsity must lie in (0, 1]")
+        if self.wavelet_levels < 1:
+            raise ValueError("wavelet levels must be >= 1")
 
 
 @dataclass(eq=False)
@@ -105,7 +106,12 @@ class RoundOutcome:
 class NodeState:
     """Mutable per-node state: model, data slice, RNG streams, protocol
     memory (importance scores or Choco mirrors), and the scratch carried
-    between the two phases of the current round."""
+    between the two phases of the current round.
+
+    ``levels`` is the wavelet level count of the shared domain: the
+    configured count for jwins, 0 (parameter space) when the wavelet is
+    ablated and for every other algorithm.
+    """
 
     def __init__(self, node_id: int, model, cfg: ProtocolConfig,
                  X: np.ndarray, y: np.ndarray,
@@ -121,32 +127,14 @@ class NodeState:
         self.rng_misc = rng_misc
         self.algo = cfg.algo
         plen = model.param_count
-        if cfg.algo == Algo.JWINS and cfg.ablations.wavelet_on:
-            self.spec = sym2_filters(cfg.wavelet_levels)
-            self.coeff_len = coeff_length(plen, cfg.wavelet_levels)
-            self.layout = coeff_layout(plen, cfg.wavelet_levels)
-        else:
-            self.spec = None
-            self.coeff_len = plen
-            self.layout = None
-        if cfg.algo == Algo.JWINS:
-            self.acc = new_accumulator(self.coeff_len, cfg.ablations.accumulation_on)
-        else:
-            self.acc = None
+        jwins = cfg.algo == Algo.JWINS
+        self.levels = cfg.wavelet_levels if jwins and cfg.ablations.wavelet_on else 0
+        self.coeff_len = coeff_length(plen, self.levels)
+        self.scores = np.zeros(self.coeff_len) if jwins else None
         if cfg.algo == Algo.CHOCO:
             self.choco_hat = np.zeros(plen)
             self.choco_agg = np.zeros(plen)
         self._pending = None
-
-    def _transform(self, x: np.ndarray) -> np.ndarray:
-        if self.spec is None:
-            return np.asarray(x, dtype=np.float64).copy()
-        return dwt(x, self.spec).data
-
-    def _untransform(self, c: np.ndarray) -> np.ndarray:
-        if self.spec is None:
-            return c
-        return idwt(WaveletCoeffs(c, self.layout, self.model.param_count), self.spec)
 
 
 def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
@@ -161,19 +149,19 @@ def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> Spars
     x_tau = state.model.theta
 
     if state.algo == Algo.JWINS:
-        accumulate_training_delta(state.acc, x0, x_tau, state.spec)
+        accumulate_training_delta(state.scores, x0, x_tau, state.levels,
+                                  cfg.ablations.accumulation_on)
         if cfg.ablations.random_cutoff_on:
             alpha = draw_alpha(cfg.alpha, state.rng_alpha)
         else:
             alpha = cfg.alpha.mean()
-        sel = select_topk(state.acc, alpha)
-        coeffs = state._transform(x_tau)
+        idx = select_topk(state.scores, alpha)
+        coeffs = dwt(x_tau, state.levels)
         update = codec.make_indexed_update(
-            round_no, state.node_id, sel.indices,
-            coeffs[sel.indices].astype(np.float32),
+            round_no, state.node_id, idx, coeffs[idx].astype(np.float32),
             compressed=cfg.ablations.metadata_compression_on,
         )
-        state._pending = (x_tau, coeffs, sel, alpha, update)
+        state._pending = (x_tau, coeffs, idx, alpha, update)
         return update
 
     if state.algo == Algo.FULL:
@@ -184,10 +172,10 @@ def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> Spars
     if state.algo == Algo.RANDOM:
         k = selection_size(cfg.random_alpha, state.coeff_len)
         seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
-        sel = Selection(random_indices(state.coeff_len, k, seed), cfg.random_alpha)
+        idx = random_indices(state.coeff_len, k, seed)
         update = codec.make_seed_update(
-            round_no, state.node_id, seed, x_tau[sel.indices].astype(np.float32))
-        state._pending = (x_tau, x_tau, sel, cfg.random_alpha, update)
+            round_no, state.node_id, seed, x_tau[idx].astype(np.float32))
+        state._pending = (x_tau, x_tau, idx, cfg.random_alpha, update)
         return update
 
     if state.algo == Algo.CHOCO:
@@ -196,7 +184,7 @@ def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> Spars
         vals = residual[idx].astype(np.float32)
         state.choco_hat[idx] += vals.astype(np.float64)
         update = codec.make_indexed_update(round_no, state.node_id, idx, vals)
-        state._pending = (x_tau, vals, Selection(idx, cfg.choco_alpha), cfg.choco_alpha, update)
+        state._pending = (x_tau, vals, idx, cfg.choco_alpha, update)
         return update
 
     raise ValueError("unknown algorithm %r" % (state.algo,))
@@ -290,22 +278,21 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
     """Phase two: average with the inbox and settle per-round state."""
     if state._pending is None:
         raise RuntimeError("finalize_round called before prepare_round")
-    x_tau, shared, sel, alpha, update = state._pending
+    x_tau, shared, sent, alpha, update = state._pending
     state._pending = None
     degree = int(weights.neighbors[state.node_id].size)
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
 
     if state.algo == Algo.JWINS:
+        reset_selected(state.scores, sent)
         if contribs:
             avg = sparse_average(shared, contribs, weights, state.node_id)
-            x_next = state._untransform(avg)
-            reset_selected(state.acc, sel)
-            accumulate_averaging_delta(state.acc, x_tau, x_next, state.spec)
+            x_next = idwt(avg, state.model.param_count, state.levels)
+            accumulate_averaging_delta(state.scores, x_tau, x_next, state.levels)
         else:
             # Nothing arrived: parameters stay exactly at the post-training
             # point and the averaging delta is exactly zero.
             x_next = x_tau
-            reset_selected(state.acc, sel)
         state.model.set_flat(x_next)
     elif state.algo in (Algo.FULL, Algo.RANDOM):
         x_next = sparse_average(shared, contribs, weights, state.node_id)
@@ -315,8 +302,8 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
         # broadcast residual q_j advances x_hat_j, so folding w * q_j in
         # keeps it current without storing any neighbor mirror.
         w_self = float(weights.self_weight[state.node_id])
-        if sel.k:
-            state.choco_agg[sel.indices] += w_self * shared.astype(np.float64)
+        if sent.size:
+            state.choco_agg[sent] += w_self * shared.astype(np.float64)
         for sender, idx, values in contribs:
             w = weights.weight(state.node_id, sender)
             v = values.astype(np.float64)
@@ -337,13 +324,3 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
         rejected=rejected,
     )
 
-
-def run_round(state: NodeState, inbox, weights: MixingWeights,
-              round_no: int, cfg: ProtocolConfig) -> RoundOutcome:
-    """Both phases back to back, for tests and single-node use.
-
-    In the simulator the phases are split by a barrier so the inbox can hold
-    the updates of the same round.
-    """
-    prepare_round(state, round_no, cfg)
-    return finalize_round(state, inbox, weights, round_no, cfg)

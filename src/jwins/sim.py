@@ -59,13 +59,12 @@ from .sparsify import (
     DEFAULT_ALPHA_SUPPORT,
     AlphaDistribution,
     accumulate_training_delta,
-    new_accumulator,
     random_indices,
     reset_selected,
     select_topk,
     selection_size,
 )
-from .wavelet import WaveletCoeffs, dwt, idwt, sym2_filters
+from .wavelet import dwt, idwt
 
 METRICS_HEADER = "round,node,test_loss,test_acc,bytes_cum,bytes_meta_cum,alpha"
 PROBE_HEADER = "round,mse_wavelet,mse_random,cum_mse_wavelet,cum_mse_random"
@@ -273,6 +272,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("workers must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
+    if cfg.topology.seed is not None and cfg.topology.seed < 0:
+        raise ConfigError("topology.seed must be non-negative")
     if cfg.n > 1:
         if not 0 < cfg.topology.d < cfg.n:
             raise ConfigError("degree must satisfy 0 < d < n")
@@ -563,25 +564,24 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
         raise ConfigError("budget must lie in (0, 1]")
     rt = build_runtime(cfg)
     state = rt.states[0]
-    spec = sym2_filters(cfg.wavelet_levels)
+    levels = cfg.wavelet_levels
     plen = state.model.param_count
-    layout = dwt(state.model.get_flat(), spec).layout
     k_rand = selection_size(budget, plen)
     x_prev = state.model.get_flat()
-    recon_coeffs = dwt(x_prev, spec).data.copy()
+    recon_coeffs = dwt(x_prev, levels)
     recon_params = x_prev.copy()
-    acc = new_accumulator(recon_coeffs.size)
+    scores = np.zeros(recon_coeffs.size)
     cum_w = 0.0
     cum_r = 0.0
     rows = []
     for t in range(cfg.rounds):
         local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
         x = state.model.get_flat()
-        accumulate_training_delta(acc, x_prev, x, spec)
-        sel = select_topk(acc, budget)
-        recon_coeffs[sel.indices] = dwt(x, spec).data[sel.indices]
-        reset_selected(acc, sel)
-        approx = idwt(WaveletCoeffs(recon_coeffs, layout, plen), spec)
+        accumulate_training_delta(scores, x_prev, x, levels)
+        idx = select_topk(scores, budget)
+        recon_coeffs[idx] = dwt(x, levels)[idx]
+        reset_selected(scores, idx)
+        approx = idwt(recon_coeffs, plen, levels)
         mse_w = float(np.mean((x - approx) ** 2))
         seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
         ridx = random_indices(plen, k_rand, seed)

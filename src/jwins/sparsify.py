@@ -1,10 +1,12 @@
 """Importance accumulation and index selection for sparsified sharing.
 
-Each node keeps a per-coefficient score vector V that sums the transform of
-every parameter change it has seen (its own training steps and the shift
-applied by averaging). The top coefficients of |V| are the ones shared in a
-round; shared entries are reset so unsent changes keep accumulating until
-they win a slot.
+Each node keeps a per-coefficient score vector V, a plain float64 array,
+that sums the transform of every parameter change it has seen (its own
+training steps and the shift applied by averaging). The transform is the
+``levels``-level wavelet of ``wavelet.dwt``; 0 levels scores raw parameter
+deltas. The top coefficients of |V| are the ones shared in a round, returned
+as a sorted index array; shared entries are reset so unsent changes keep
+accumulating until they win a slot.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import WaveletSpec, dwt
+from .wavelet import dwt
 
 # Cut-off fractions and probabilities used when a round draws how much to
 # send. Mean is 0.342857...; roughly a third of the coefficient vector.
@@ -21,64 +23,47 @@ DEFAULT_ALPHA_SUPPORT = (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 1.0)
 DEFAULT_ALPHA_PROBS = (1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7)
 
 
-@dataclass(eq=False)
-class Accumulator:
-    """Per-coefficient importance scores.
-
-    With ``enabled`` False the training delta overwrites the scores instead of
-    adding to them, which reduces ranking to "largest change this round".
-    """
-
-    scores: np.ndarray
-    enabled: bool = True
-
-
-def new_accumulator(coeff_len: int, enabled: bool = True) -> Accumulator:
-    if coeff_len < 1:
-        raise ValueError("coefficient length must be positive")
-    return Accumulator(np.zeros(coeff_len), enabled)
-
-
-def _delta_scores(before: np.ndarray, after: np.ndarray, spec: WaveletSpec | None) -> np.ndarray:
+def _delta_scores(before: np.ndarray, after: np.ndarray, levels: int) -> np.ndarray:
     if before.shape != after.shape:
         raise ValueError("parameter vectors differ in length")
     delta = np.asarray(after, dtype=np.float64) - np.asarray(before, dtype=np.float64)
-    if spec is None:
-        return delta
-    return dwt(delta, spec).data
+    return dwt(delta, levels)
 
 
 def accumulate_training_delta(
-    acc: Accumulator,
+    scores: np.ndarray,
     before: np.ndarray,
     after: np.ndarray,
-    spec: WaveletSpec | None,
+    levels: int,
+    accumulate: bool = True,
 ) -> None:
-    """Fold one local-training parameter change into the scores.
+    """Fold one local-training parameter change into the scores, in place.
 
-    ``spec`` selects the scoring domain: a filter spec scores in the wavelet
-    domain, None scores raw parameter deltas (the transform-off ablation).
+    ``levels`` is the wavelet level count of the scoring domain; 0 scores
+    raw parameter deltas (the transform-off ablation). With ``accumulate``
+    False the delta overwrites the scores instead of adding to them, which
+    reduces ranking to "largest change this round".
     """
-    delta = _delta_scores(before, after, spec)
-    if delta.shape != acc.scores.shape:
-        raise ValueError("delta length does not match accumulator")
-    if acc.enabled:
-        acc.scores += delta
+    delta = _delta_scores(before, after, levels)
+    if delta.shape != scores.shape:
+        raise ValueError("delta length does not match the scores")
+    if accumulate:
+        scores += delta
     else:
-        acc.scores[:] = delta
+        scores[:] = delta
 
 
 def accumulate_averaging_delta(
-    acc: Accumulator,
+    scores: np.ndarray,
     pre_avg: np.ndarray,
     post_avg: np.ndarray,
-    spec: WaveletSpec | None,
+    levels: int,
 ) -> None:
     """Fold the parameter shift applied by one averaging step into the scores."""
-    delta = _delta_scores(pre_avg, post_avg, spec)
-    if delta.shape != acc.scores.shape:
-        raise ValueError("delta length does not match accumulator")
-    acc.scores += delta
+    delta = _delta_scores(pre_avg, post_avg, levels)
+    if delta.shape != scores.shape:
+        raise ValueError("delta length does not match the scores")
+    scores += delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,22 +111,11 @@ def selection_size(alpha: float, coeff_len: int) -> int:
     return min(max(k, 0), coeff_len)
 
 
-@dataclass(eq=False)
-class Selection:
-    """Chosen coefficient indices (sorted ascending) plus the fraction used."""
-
-    indices: np.ndarray
-    alpha_used: float
-
-    @property
-    def k(self) -> int:
-        return int(self.indices.size)
-
-
 def top_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest |scores|; ties go to the lowest index.
 
-    Selection-based, so O(n) rather than O(n log n) for a full sort.
+    Partition-based (argpartition), so O(n) rather than O(n log n) for a
+    full sort.
     """
     n = scores.size
     if k <= 0:
@@ -158,14 +132,9 @@ def top_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return sel.astype(np.int64)
 
 
-def select_topk(acc, alpha: float) -> Selection:
-    """Pick the top-|V| coefficient indices for a cut-off fraction.
-
-    Accepts an Accumulator or a bare score vector.
-    """
-    scores = acc.scores if isinstance(acc, Accumulator) else np.asarray(acc)
-    k = selection_size(alpha, scores.size)
-    return Selection(top_indices(scores, k), float(alpha))
+def select_topk(scores: np.ndarray, alpha: float) -> np.ndarray:
+    """Sorted indices of the top-|scores| entries for a cut-off fraction."""
+    return top_indices(scores, selection_size(alpha, scores.size))
 
 
 def random_indices(coeff_len: int, k: int, seed: int) -> np.ndarray:
@@ -186,14 +155,8 @@ def random_indices(coeff_len: int, k: int, seed: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def select_random(coeff_len: int, alpha: float, seed: int) -> Selection:
-    """Seeded uniform selection of a fraction of coefficient slots."""
-    k = selection_size(alpha, coeff_len)
-    return Selection(random_indices(coeff_len, k, seed), float(alpha))
-
-
-def reset_selected(acc: Accumulator, sel: Selection) -> None:
+def reset_selected(scores: np.ndarray, indices: np.ndarray) -> None:
     """Zero the scores of shared entries; unshared scores keep accumulating."""
-    if sel.k and int(sel.indices.max()) >= acc.scores.size:
+    if indices.size and int(indices.max()) >= scores.size:
         raise ValueError("selection index out of range")
-    acc.scores[sel.indices] = 0.0
+    scores[indices] = 0.0

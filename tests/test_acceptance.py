@@ -28,7 +28,7 @@ from jwins.sim import (
     reconstruction_probe,
     run,
 )
-from jwins.wavelet import dwt, idwt, sym2_filters
+from jwins.wavelet import dwt, idwt
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -61,13 +61,12 @@ def test_criterion_01_wavelet_perfect_reconstruction():
     """Analysis plus synthesis is the identity to 1e-10 at every length."""
     t0 = time.time()
     rng = np.random.default_rng(101)
-    spec = sym2_filters(4)
     worst = 0.0
     lengths = rng.integers(1, 100_001, size=1000)
     lengths[:4] = [1, 2, 3, 100_000]  # force the edge cases in
     for n in lengths:
         x = rng.normal(size=int(n)) * rng.choice([1e-3, 1.0, 1e3])
-        err = float(np.max(np.abs(idwt(dwt(x, spec), spec) - x)))
+        err = float(np.max(np.abs(idwt(dwt(x, 4), int(n), 4) - x)))
         worst = max(worst, err)
     elapsed = time.time() - t0
     _report(1, worst <= 1e-10 and elapsed < 30.0,

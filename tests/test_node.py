@@ -19,7 +19,6 @@ from jwins.node import (
     ProtocolConfig,
     finalize_round,
     prepare_round,
-    run_round,
     sparse_average,
 )
 from jwins.sparsify import random_indices, selection_size
@@ -317,10 +316,10 @@ class TestJwinsRound:
         state = _make_state(0, cfg)
         update = prepare_round(state, 0, cfg)
         x_tau = state.model.get_flat()
-        before = state.acc.scores.copy()
+        before = state.scores.copy()
         finalize_round(state, [], W, 0, cfg)
         np.testing.assert_array_equal(state.model.get_flat(), x_tau)
-        after = state.acc.scores
+        after = state.scores
         np.testing.assert_array_equal(after[update.indices], 0.0)
         mask = np.ones(after.size, dtype=bool)
         mask[update.indices] = False
@@ -334,16 +333,16 @@ class TestJwinsRound:
         states = [_make_state(i, cfg, data_seed=50) for i in range(2)]
         _sync_round(states, W, 0, cfg)  # warm up so scores are nonzero
         s = states[0]
-        pre_scores = s.acc.scores.copy()
+        pre_scores = s.scores.copy()
         updates = [prepare_round(st, 1, cfg) for st in states]
-        mid_scores = s.acc.scores.copy()
+        mid_scores = s.scores.copy()
         x_tau = s.model.get_flat()
         finalize_round(s, [updates[1]], W, 1, cfg)
         x_next = s.model.get_flat()
         want = mid_scores.copy()
         want[updates[0].indices] = 0.0
-        want += dwt(x_next - x_tau, s.spec).data
-        np.testing.assert_allclose(s.acc.scores, want, rtol=0, atol=1e-12)
+        want += dwt(x_next - x_tau, s.levels)
+        np.testing.assert_allclose(s.scores, want, rtol=0, atol=1e-12)
         # and the mid-round scores were pre + transform of the training move
         assert not np.array_equal(pre_scores, mid_scores)
 
@@ -529,16 +528,3 @@ class TestChoco:
         with pytest.raises(ValueError):
             ProtocolConfig(choco_alpha=0.0)
 
-
-class TestRunRound:
-    def test_composes_both_phases(self):
-        cfg = ProtocolConfig(algo=Algo.FULL, sgd=SGDConfig(eta=0.0, tau=1))
-        W = _pair_weights()
-        a = np.ones(6)
-        b = np.full(6, 5.0)
-        s0 = _make_state(0, cfg, num_features=2, init=a)
-        s1 = _make_state(1, cfg, num_features=2, init=b)
-        peer = prepare_round(s1, 0, cfg)
-        oc = run_round(s0, [peer], W, 0, cfg)
-        np.testing.assert_allclose(s0.model.get_flat(), 3.0, rtol=1e-15)
-        assert oc.bytes_sent == oc.outbound.byte_size * 1

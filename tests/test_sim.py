@@ -96,6 +96,19 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 config_from_dict(bad)
 
+    @pytest.mark.parametrize("raw", [{"wavelet_levels": 0},
+                                     {"algo": "full", "wavelet_levels": -2}])
+    def test_wavelet_levels_at_least_one(self, raw):
+        # 0 levels is how a node runs the wavelet-off ablation; as a config
+        # value it would silently turn the transform off.
+        with pytest.raises(ConfigError, match="wavelet levels must be >= 1"):
+            config_from_dict(raw)
+
+    def test_topology_seed_non_negative(self):
+        with pytest.raises(ConfigError, match="topology.seed must be non-negative"):
+            config_from_dict({"topology": {"seed": -1}})
+        assert config_from_dict({"topology": {"seed": 0}}).topology.seed == 0
+
     @pytest.mark.parametrize("raw", [{"n": "abc"}, {"topology": {"d": "2"}}, {"n": True},
                                      {"rounds": 2.5}, {"seed": 1.5}, {"workers": 1.5},
                                      {"workers": True}, {"workers": "auto"}])
@@ -381,6 +394,10 @@ class TestGolden:
         ({"algo": "random"}, "b11c2cb93af38db1"),
         ({"algo": "choco"}, "f89a03122d6f66bd"),
         ({"algo": "jwins", "topology": {"dynamic": True}}, "4ac674db1de3ccd6"),
+        ({"ablations": {"wavelet_on": False}}, "17fcaf17e9fa2ee1"),
+        ({"ablations": {"accumulation_on": False}}, "99a6067c61dd24a7"),
+        ({"ablations": {"random_cutoff_on": False}}, "732af7cc86ef523a"),
+        ({"ablations": {"metadata_compression_on": False}}, "528261bee10e70b9"),
     ])
     def test_metrics_body(self, tmp_path, over, want):
         path = tmp_path / "metrics.csv"

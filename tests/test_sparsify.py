@@ -4,92 +4,81 @@ import numpy as np
 import pytest
 
 from jwins.sparsify import (
-    Accumulator,
     AlphaDistribution,
     accumulate_averaging_delta,
     accumulate_training_delta,
     draw_alpha,
-    new_accumulator,
     random_indices,
     reset_selected,
-    select_random,
     select_topk,
     selection_size,
     top_indices,
 )
-from jwins.wavelet import coeff_length, dwt, sym2_filters
+from jwins.wavelet import coeff_length, dwt
 
 
 class TestAccumulator:
     def test_zero_delta_leaves_scores(self):
-        spec = sym2_filters()
-        acc = new_accumulator(coeff_length(50, 4))
-        acc.scores[:] = 7.0
+        scores = np.full(coeff_length(50, 4), 7.0)
         x = np.arange(50.0)
-        accumulate_training_delta(acc, x, x, spec)
-        np.testing.assert_array_equal(acc.scores, 7.0)
+        accumulate_training_delta(scores, x, x, 4)
+        np.testing.assert_array_equal(scores, 7.0)
 
     def test_from_zero_vector_gives_dwt(self):
-        spec = sym2_filters()
         x = np.random.default_rng(0).normal(size=64)
-        acc = new_accumulator(coeff_length(64, 4))
-        accumulate_training_delta(acc, np.zeros(64), x, spec)
-        np.testing.assert_allclose(acc.scores, dwt(x, spec).data, atol=1e-12)
+        scores = np.zeros(coeff_length(64, 4))
+        accumulate_training_delta(scores, np.zeros(64), x, 4)
+        np.testing.assert_allclose(scores, dwt(x, 4), atol=1e-12)
 
     def test_two_deltas_sum_linearly(self):
         """dwt(d1) + dwt(d2) = dwt(d1 + d2), computed both ways."""
-        spec = sym2_filters()
         rng = np.random.default_rng(1)
         a, b, c = rng.normal(size=(3, 100))
-        acc = new_accumulator(coeff_length(100, 4))
-        accumulate_training_delta(acc, a, b, spec)
-        accumulate_training_delta(acc, b, c, spec)
-        np.testing.assert_allclose(acc.scores, dwt(c - a, spec).data,
-                                   rtol=1e-9, atol=1e-12)
+        scores = np.zeros(coeff_length(100, 4))
+        accumulate_training_delta(scores, a, b, 4)
+        accumulate_training_delta(scores, b, c, 4)
+        np.testing.assert_allclose(scores, dwt(c - a, 4), rtol=1e-9, atol=1e-12)
 
     def test_disabled_overwrites(self):
-        spec = sym2_filters()
         rng = np.random.default_rng(2)
         a, b, c = rng.normal(size=(3, 30))
-        acc = new_accumulator(coeff_length(30, 4), enabled=False)
-        accumulate_training_delta(acc, a, b, spec)
-        accumulate_training_delta(acc, b, c, spec)
-        np.testing.assert_allclose(acc.scores, dwt(c - b, spec).data, atol=1e-12)
+        scores = np.zeros(coeff_length(30, 4))
+        accumulate_training_delta(scores, a, b, 4, accumulate=False)
+        accumulate_training_delta(scores, b, c, 4, accumulate=False)
+        np.testing.assert_allclose(scores, dwt(c - b, 4), atol=1e-12)
 
     def test_averaging_delta_adds(self):
-        spec = sym2_filters()
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(2, 40))
-        acc = new_accumulator(coeff_length(40, 4))
-        accumulate_averaging_delta(acc, a, a, spec)
-        np.testing.assert_array_equal(acc.scores, 0.0)
-        accumulate_averaging_delta(acc, a, b, spec)
-        np.testing.assert_allclose(acc.scores, dwt(b - a, spec).data, atol=1e-12)
+        scores = np.zeros(coeff_length(40, 4))
+        accumulate_averaging_delta(scores, a, a, 4)
+        np.testing.assert_array_equal(scores, 0.0)
+        accumulate_averaging_delta(scores, a, b, 4)
+        np.testing.assert_allclose(scores, dwt(b - a, 4), atol=1e-12)
 
     def test_localized_change_scores_locally(self):
         """Averaging one parameter changes scores only where its dwt lives."""
-        spec = sym2_filters()
         n = 256
-        acc = new_accumulator(coeff_length(n, 4))
+        scores = np.zeros(coeff_length(n, 4))
         pre = np.zeros(n)
         post = np.zeros(n)
         post[130] = 1.0
-        accumulate_averaging_delta(acc, pre, post, spec)
-        oracle = dwt(post - pre, spec).data
-        np.testing.assert_allclose(acc.scores, oracle, atol=1e-14)
-        assert np.count_nonzero(np.abs(acc.scores) > 1e-12) < acc.scores.size // 4
+        accumulate_averaging_delta(scores, pre, post, 4)
+        oracle = dwt(post - pre, 4)
+        np.testing.assert_allclose(scores, oracle, atol=1e-14)
+        assert np.count_nonzero(np.abs(scores) > 1e-12) < scores.size // 4
 
-    def test_raw_space_when_spec_none(self):
-        acc = new_accumulator(10)
-        accumulate_training_delta(acc, np.zeros(10), np.arange(10.0), None)
-        np.testing.assert_array_equal(acc.scores, np.arange(10.0))
+    def test_raw_space_at_zero_levels(self):
+        scores = np.zeros(10)
+        accumulate_training_delta(scores, np.zeros(10), np.arange(10.0), 0)
+        np.testing.assert_array_equal(scores, np.arange(10.0))
 
     def test_length_mismatch(self):
-        acc = new_accumulator(5)
+        scores = np.zeros(5)
         with pytest.raises(ValueError):
-            accumulate_training_delta(acc, np.zeros(5), np.zeros(6), None)
+            accumulate_training_delta(scores, np.zeros(5), np.zeros(6), 0)
         with pytest.raises(ValueError):
-            accumulate_training_delta(acc, np.zeros(6), np.zeros(6), None)
+            accumulate_training_delta(scores, np.zeros(6), np.zeros(6), 0)
 
 
 class TestAlpha:
@@ -168,20 +157,16 @@ class TestSelectionSize:
 class TestTopK:
     def test_two_largest_magnitudes(self):
         sel = select_topk(np.array([3.0, -5.0, 2.0, 0.0]), 0.5)
-        np.testing.assert_array_equal(sel.indices, [0, 1])
-        assert sel.k == 2
+        np.testing.assert_array_equal(sel, [0, 1])
+        assert sel.size == 2
 
     def test_alpha_one_takes_everything(self):
         sel = select_topk(np.array([3.0, -5.0, 2.0, 0.0]), 1.0)
-        np.testing.assert_array_equal(sel.indices, [0, 1, 2, 3])
+        np.testing.assert_array_equal(sel, [0, 1, 2, 3])
 
     def test_tie_break_lower_index(self):
         sel = top_indices(np.array([1.0, -1.0, 1.0, 0.0]), 2)
         np.testing.assert_array_equal(sel, [0, 1])
-
-    def test_accepts_accumulator(self):
-        acc = Accumulator(np.array([0.0, 9.0, -1.0]))
-        np.testing.assert_array_equal(select_topk(acc, 0.34).indices, [1])
 
     def test_matches_full_sort(self):
         """Selection-based result equals sort-then-take under the tie rule."""
@@ -207,35 +192,33 @@ class TestTopK:
 
     def test_after_reset_zeroed_not_reselected(self):
         rng = np.random.default_rng(12)
-        acc = Accumulator(np.abs(rng.normal(size=100)) + 0.1)
-        first = select_topk(acc, 0.2)
-        reset_selected(acc, first)
-        second = select_topk(acc, 0.2)
-        assert not set(first.indices.tolist()) & set(second.indices.tolist())
+        scores = np.abs(rng.normal(size=100)) + 0.1
+        first = select_topk(scores, 0.2)
+        reset_selected(scores, first)
+        second = select_topk(scores, 0.2)
+        assert not set(first.tolist()) & set(second.tolist())
 
 
 class TestReset:
     def test_reset_all(self):
-        acc = Accumulator(np.arange(1.0, 6.0))
-        reset_selected(acc, select_topk(acc, 1.0))
-        np.testing.assert_array_equal(acc.scores, 0.0)
+        scores = np.arange(1.0, 6.0)
+        reset_selected(scores, select_topk(scores, 1.0))
+        np.testing.assert_array_equal(scores, 0.0)
 
     def test_reset_none(self):
-        acc = Accumulator(np.arange(1.0, 6.0))
-        reset_selected(acc, select_topk(acc, 0.0))
-        np.testing.assert_array_equal(acc.scores, np.arange(1.0, 6.0))
+        scores = np.arange(1.0, 6.0)
+        reset_selected(scores, select_topk(scores, 0.0))
+        np.testing.assert_array_equal(scores, np.arange(1.0, 6.0))
 
     def test_reset_subset(self):
-        from jwins.sparsify import Selection
-        acc = Accumulator(np.array([3.0, -5.0, 2.0]))
-        reset_selected(acc, Selection(np.array([1]), 0.33))
-        np.testing.assert_array_equal(acc.scores, [3.0, 0.0, 2.0])
+        scores = np.array([3.0, -5.0, 2.0])
+        reset_selected(scores, np.array([1]))
+        np.testing.assert_array_equal(scores, [3.0, 0.0, 2.0])
 
     def test_out_of_range(self):
-        from jwins.sparsify import Selection
-        acc = Accumulator(np.zeros(3))
+        scores = np.zeros(3)
         with pytest.raises(ValueError):
-            reset_selected(acc, Selection(np.array([5]), 0.5))
+            reset_selected(scores, np.array([5]))
 
 
 def _reference_random_indices(coeff_len, k, seed):
@@ -260,23 +243,25 @@ class TestRandomSelection:
             np.testing.assert_array_equal(got, _reference_random_indices(coeff_len, k, seed))
 
     def test_alpha_one_all_indices(self):
-        sel = select_random(10, 1.0, seed=123)
-        np.testing.assert_array_equal(sel.indices, np.arange(10))
+        sel = random_indices(10, selection_size(1.0, 10), seed=123)
+        np.testing.assert_array_equal(sel, np.arange(10))
 
     def test_same_seed_same_set(self):
-        a = select_random(1000, 0.37, seed=42)
-        b = select_random(1000, 0.37, seed=42)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        c = select_random(1000, 0.37, seed=43)
-        assert not np.array_equal(a.indices, c.indices)
+        k = selection_size(0.37, 1000)
+        a = random_indices(1000, k, seed=42)
+        b = random_indices(1000, k, seed=42)
+        np.testing.assert_array_equal(a, b)
+        c = random_indices(1000, k, seed=43)
+        assert not np.array_equal(a, c)
 
     def test_regenerable_from_k(self):
         """Receivers rebuild the set from (seed, K, len) without alpha."""
-        sel = select_random(10**4, 0.37, seed=7)
-        assert sel.k == 3700
-        np.testing.assert_array_equal(sel.indices, random_indices(10**4, 3700, 7))
+        k = selection_size(0.37, 10**4)
+        assert k == 3700
+        sent = random_indices(10**4, k, seed=7)
+        np.testing.assert_array_equal(sent, random_indices(10**4, sent.size, 7))
 
     def test_sorted_distinct(self):
-        sel = select_random(500, 0.25, seed=1)
-        assert np.all(np.diff(sel.indices) > 0)
-        assert sel.indices.min() >= 0 and sel.indices.max() < 500
+        sel = random_indices(500, selection_size(0.25, 500), seed=1)
+        assert np.all(np.diff(sel) > 0)
+        assert sel.min() >= 0 and sel.max() < 500

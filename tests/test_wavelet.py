@@ -9,16 +9,10 @@ the convention.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jwins.wavelet import (
-    WaveletCoeffs,
-    WaveletSpec,
-    coeff_layout,
-    coeff_length,
-    dwt,
-    idwt,
-    sym2_filters,
-)
+from jwins.wavelet import FILTER_HI, FILTER_LO, coeff_layout, coeff_length, dwt, idwt
 
 # Published 4-tap Sym2 (= db2) decomposition low-pass filter, frozen from the
 # closed form (1-sqrt3, 3-sqrt3, 3+sqrt3, 1+sqrt3) / (4*sqrt2).
@@ -54,49 +48,47 @@ def naive_level(x, lo, hi):
     return a, d
 
 
-def naive_dwt(x, spec):
+def naive_dwt(x, levels):
     """Multi-level cascade of naive_level, concatenated coarse to fine."""
     a = np.asarray(x, dtype=np.float64)
     details = []
-    for _ in range(spec.levels):
+    for _ in range(levels):
         if len(a) < 4:
             break
-        a, d = naive_level(a, spec.filter_lo, spec.filter_hi)
+        a, d = naive_level(a, FILTER_LO, FILTER_HI)
         details.append(d)
     return np.concatenate([a] + details[::-1]) if details else a.copy()
+
+
+def band(coeffs, source_len, levels, name):
+    """One named band of a flat coefficient array, located by coeff_layout."""
+    start = 0
+    for b, length in coeff_layout(source_len, levels):
+        if b == name:
+            return coeffs[start : start + length]
+        start += length
+    raise KeyError(name)
 
 
 class TestFilters:
     def test_low_pass_matches_published_table(self):
         """The closed form reproduces the standard Sym2 table."""
-        spec = sym2_filters()
-        np.testing.assert_allclose(spec.filter_lo, SYM2_LO, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(FILTER_LO, SYM2_LO, rtol=0, atol=1e-12)
 
     def test_low_pass_sums_to_sqrt2(self):
-        spec = sym2_filters()
-        assert spec.filter_lo.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert FILTER_LO.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_high_pass_sums_to_zero(self):
-        spec = sym2_filters()
-        assert spec.filter_hi.sum() == pytest.approx(0.0, abs=1e-12)
+        assert FILTER_HI.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_quadrature_mirror_relation(self):
-        spec = sym2_filters()
         for k in range(4):
-            assert spec.filter_hi[k] == pytest.approx(
-                (-1.0) ** k * spec.filter_lo[3 - k], abs=1e-15)
+            assert FILTER_HI[k] == pytest.approx(
+                (-1.0) ** k * FILTER_LO[3 - k], abs=1e-15)
 
     def test_unit_l2_norm(self):
         """Orthogonal filter banks have unit-energy taps."""
-        spec = sym2_filters()
-        assert np.sum(spec.filter_lo**2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            WaveletSpec(np.ones(4), np.ones(4), 4)
-        with pytest.raises(ValueError):
-            sf = sym2_filters()
-            WaveletSpec(sf.filter_lo, sf.filter_hi, levels=0)
+        assert np.sum(FILTER_LO**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_impulse_response_reproduces_taps(self):
         """Detail band of a unit impulse contains the high-pass taps.
@@ -104,12 +96,11 @@ class TestFilters:
         An impulse at an even interior position hits the odd taps, an odd
         position hits the even taps (stride-2 sampling).
         """
-        spec = sym2_filters(levels=1)
-        g = spec.filter_hi
+        g = FILTER_HI
         for pos, expected in [(10, {1, 3}), (11, {0, 2})]:
             x = np.zeros(32)
             x[pos] = 1.0
-            detail = dwt(x, spec).band("D1")
+            detail = band(dwt(x, 1), 32, 1, "D1")
             nonzero = sorted(float(v) for v in detail[np.abs(detail) > 1e-14])
             want = sorted(float(g[j]) for j in expected)
             np.testing.assert_allclose(nonzero, want, atol=1e-14)
@@ -134,119 +125,103 @@ class TestLayout:
         assert coeff_layout(3, 4) == (("A0", 3),)
         assert coeff_layout(1, 4) == (("A0", 1),)
 
+    def test_negative_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            coeff_length(10, -1)
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            dwt(np.ones(10), -1)
+
     def test_layout_only_depends_on_length_and_levels(self):
         rng = np.random.default_rng(0)
-        spec = sym2_filters()
         for n in [1, 2, 7, 64, 1000]:
-            c = dwt(rng.normal(size=n), spec)
-            assert c.layout == coeff_layout(n, spec.levels)
-            assert sum(length for _, length in c.layout) == c.data.size
-
-    def test_band_accessors(self):
-        spec = sym2_filters()
-        c = dwt(np.arange(100.0), spec)
-        assert c.band_range("A4") == (0, 9)
-        assert c.band("D1").size == 51
-        with pytest.raises(KeyError):
-            c.band("D9")
+            c = dwt(rng.normal(size=n), 4)
+            assert sum(length for _, length in coeff_layout(n, 4)) == c.size
 
 
 class TestForward:
     def test_matches_naive_reference(self):
         """Package transform equals the direct-definition implementation."""
         rng = np.random.default_rng(1)
-        spec = sym2_filters(levels=4)
         for n in [1, 2, 3, 4, 5, 6, 7, 8, 13, 33, 64, 100, 257]:
             x = rng.normal(size=n)
-            got = dwt(x, spec).data
-            want = naive_dwt(x, spec)
+            got = dwt(x, 4)
+            want = naive_dwt(x, 4)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_constant_vector(self):
         """Constants: details vanish, approximation is c * sqrt(2)^levels."""
-        spec = sym2_filters(levels=4)
-        c = dwt(np.full(64, 3.0), spec)
-        for band in ["D4", "D3", "D2", "D1"]:
-            np.testing.assert_allclose(c.band(band), 0.0, atol=1e-10)
-        np.testing.assert_allclose(c.band("A4"), 3.0 * np.sqrt(2.0) ** 4, atol=1e-10)
+        c = dwt(np.full(64, 3.0), 4)
+        for name in ["D4", "D3", "D2", "D1"]:
+            np.testing.assert_allclose(band(c, 64, 4, name), 0.0, atol=1e-10)
+        np.testing.assert_allclose(band(c, 64, 4, "A4"), 3.0 * np.sqrt(2.0) ** 4, atol=1e-10)
 
     def test_ramp_interior_details_vanish(self):
         """Two vanishing moments annihilate linear signals away from edges."""
-        spec = sym2_filters(levels=1)
         x = np.arange(1.0, 65.0)
-        detail = dwt(x, spec).band("D1")
+        detail = band(dwt(x, 1), 64, 1, "D1")
         np.testing.assert_allclose(detail[1:-1], 0.0, atol=1e-10)
         assert abs(detail[0]) > 1e-3
         assert abs(detail[-1]) > 1e-3
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        spec = sym2_filters()
         x, y = rng.normal(size=(2, 333))
-        lhs = dwt(2.5 * x - 1.25 * y, spec).data
-        rhs = 2.5 * dwt(x, spec).data - 1.25 * dwt(y, spec).data
+        lhs = dwt(2.5 * x - 1.25 * y, 4)
+        rhs = 2.5 * dwt(x, 4) - 1.25 * dwt(y, 4)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_energy_preserved_away_from_boundaries(self):
         """Interior-supported signals keep their l2 norm through the cascade."""
         rng = np.random.default_rng(3)
-        spec = sym2_filters(levels=4)
         x = np.zeros(1024)
         x[200:800] = rng.normal(size=600)
-        c = dwt(x, spec)
-        assert np.linalg.norm(c.data) == pytest.approx(np.linalg.norm(x), rel=1e-6)
+        c = dwt(x, 4)
+        assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-6)
 
     def test_empty_vector_rejected(self):
-        spec = sym2_filters()
         with pytest.raises(ValueError, match="empty vector"):
-            dwt(np.array([]), spec)
+            dwt(np.array([]), 4)
 
     def test_float32_input_promoted(self):
-        spec = sym2_filters()
         x32 = np.random.default_rng(4).normal(size=500).astype(np.float32)
-        c = dwt(x32, spec)
-        assert c.data.dtype == np.float64
-        np.testing.assert_allclose(idwt(c, spec), x32, atol=1e-4 * np.abs(x32).max())
+        c = dwt(x32, 4)
+        assert c.dtype == np.float64
+        np.testing.assert_allclose(idwt(c, 500, 4), x32, atol=1e-4 * np.abs(x32).max())
 
 
 class TestInverse:
     def test_perfect_reconstruction(self):
         """idwt(dwt(x)) = x to 1e-10 across many lengths."""
         rng = np.random.default_rng(5)
-        spec = sym2_filters(levels=4)
         worst = 0.0
         for _ in range(100):
             n = int(rng.integers(1, 4097))
             x = rng.normal(size=n)
-            err = np.max(np.abs(idwt(dwt(x, spec), spec) - x))
+            err = np.max(np.abs(idwt(dwt(x, 4), n, 4) - x))
             worst = max(worst, err)
         assert worst <= 1e-10
 
     def test_zero_coefficients_give_zero_output(self):
-        spec = sym2_filters()
-        c = dwt(np.zeros(77), spec)
-        np.testing.assert_allclose(idwt(c, spec), 0.0, atol=0.0)
+        c = dwt(np.zeros(77), 4)
+        np.testing.assert_allclose(idwt(c, 77, 4), 0.0, atol=0.0)
 
     def test_zeroed_approx_coefficient_energy(self):
         """Dropping one interior approx coefficient costs coef^2/n of MSE."""
-        spec = sym2_filters(levels=4)
         x = np.random.default_rng(6).normal(size=4096)
-        c = dwt(x, spec)
+        c = dwt(x, 4)
         k = 100  # interior coefficient of the A4 band (length 259)
-        coef = c.data[k]
-        trimmed = WaveletCoeffs(c.data.copy(), c.layout, c.source_len)
-        trimmed.data[k] = 0.0
-        mse = float(np.mean((idwt(trimmed, spec) - x) ** 2))
+        coef = c[k]
+        trimmed = c.copy()
+        trimmed[k] = 0.0
+        mse = float(np.mean((idwt(trimmed, 4096, 4) - x) ** 2))
         assert mse == pytest.approx(coef**2 / x.size, rel=1e-9)
 
     def test_zeroed_coefficient_changes_contiguous_region(self):
         """A single coarse coefficient only affects a local parameter block."""
-        spec = sym2_filters(levels=4)
         x = np.random.default_rng(7).normal(size=4096)
-        c = dwt(x, spec)
-        trimmed = WaveletCoeffs(c.data.copy(), c.layout, c.source_len)
-        trimmed.data[100] = 0.0
-        diff = np.abs(idwt(trimmed, spec) - x)
+        trimmed = dwt(x, 4)
+        trimmed[100] = 0.0
+        diff = np.abs(idwt(trimmed, 4096, 4) - x)
         affected = np.flatnonzero(diff > 1e-12)
         assert affected.size > 0
         span = affected[-1] - affected[0] + 1
@@ -254,20 +229,39 @@ class TestInverse:
         assert span < 128  # localized: ~ filter support * 2^levels
 
     def test_corrupt_layout_rejected(self):
-        spec = sym2_filters()
-        c = dwt(np.arange(50.0), spec)
-        bad = WaveletCoeffs(c.data, c.layout, source_len=51)
+        """A coefficient count that (source_len, levels) does not give is
+        rejected: a length-50 vector's coefficients read as a length-51
+        one's, and an array with one coefficient too many."""
+        c = dwt(np.arange(50.0), 4)
         with pytest.raises(ValueError, match="corrupt layout"):
-            idwt(bad, spec)
-        wrong_bands = tuple((name, ln + 1) for name, ln in c.layout)
+            idwt(c, 51, 4)
         with pytest.raises(ValueError, match="corrupt layout"):
-            idwt(WaveletCoeffs(c.data, wrong_bands, c.source_len), spec)
+            idwt(np.append(c, 0.0), 50, 4)
 
     def test_no_level_case(self):
         """Inputs shorter than the filter pass through untouched."""
-        spec = sym2_filters()
         x = np.array([1.0, -2.0, 3.0])
-        c = dwt(x, spec)
-        assert c.layout == (("A0", 3),)
-        np.testing.assert_array_equal(c.data, x)
-        np.testing.assert_array_equal(idwt(c, spec), x)
+        c = dwt(x, 4)
+        assert coeff_layout(3, 4) == (("A0", 3),)
+        np.testing.assert_array_equal(c, x)
+        np.testing.assert_array_equal(idwt(c, 3, 4), x)
+
+
+
+class TestRoundTripProperty:
+    """Size, reconstruction and size checking for any length and level count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5000), levels=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_dwt_idwt(self, n, levels, seed):
+        x = np.random.default_rng(seed).normal(size=n)
+        c = dwt(x, levels)
+        assert c.size == coeff_length(n, levels)
+        back = idwt(c, n, levels)
+        assert np.max(np.abs(back - x)) <= 1e-10
+        if levels == 0:
+            assert back.tobytes() == x.tobytes() and c.tobytes() == x.tobytes()
+        with pytest.raises(ValueError):
+            idwt(np.append(c, 0.0), n, levels)
+        with pytest.raises(ValueError):
+            idwt(c[:-1], n, levels)
