@@ -24,7 +24,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="metrics CSV path (default: no file)")
 
     p_probe = sub.add_parser(
-        "probe", help="single-node reconstruction probe (wavelet vs random budget)")
+        "probe", help="single-node reconstruction probe (wavelet vs random budget)",
+        description="Single-node reconstruction probe. The wavelet side always ranks "
+        "as jwins does, whatever algo says; with ablations.wavelet_on false it ranks "
+        "raw parameters (0 levels).")
     p_probe.add_argument("--config", required=True, help="YAML config file (n must be 1)")
     p_probe.add_argument("--budget", type=float, default=0.10,
                          help="per-round coefficient budget fraction (default 0.10)")

@@ -19,6 +19,15 @@ gamma writes each gap g as floor(log2 g) zero bits, then g's binary digits
 MSB first. The bit stream is packed MSB-first and zero-padded to a whole
 byte.
 
+The encoder works a 64-bit word at a time. Codeword i ends at bit ends[i],
+the running sum of the codeword lengths 2 * blen - 1, so shifting the gap
+left by (-ends[i]) mod 64 puts it in place in the word that holds its last
+bit. Codewords never overlap, so OR equals ADD: a word is the OR of the
+codewords that end in it, plus the high bits of at most one codeword that
+crosses its lower boundary (a gap has at most 63 bits). The decoder maps
+every bit position to the end of the codeword that would start there and
+follows that map by pointer doubling (``_scan_gamma``).
+
 Decoder contract: any byte string either decodes to an update or raises
 CodecError, never another exception. A JWINS_INDICES index stream must end
 where the 4K value bytes begin; the decoder never reads value bytes as
@@ -91,21 +100,26 @@ class SparseUpdate:
 def indices_to_gaps(indices: np.ndarray) -> np.ndarray:
     """Strictly increasing non-negative indices -> positive gap sequence."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if idx[0] < 0 or (idx.size > 1 and np.any(np.diff(idx) <= 0)):
-        raise CodecError("indices not strictly increasing")
     gaps = np.empty(idx.size, dtype=np.int64)
+    if idx.size == 0:
+        return gaps
     gaps[0] = idx[0] + 1
-    gaps[1:] = np.diff(idx)
+    np.subtract(idx[1:], idx[:-1], out=gaps[1:])
+    # gaps[0] >= 1 exactly when idx[0] >= 0.
+    if gaps.min() <= 0:
+        raise CodecError("indices not strictly increasing")
     return gaps
 
 
 def gaps_to_indices(gaps: np.ndarray) -> np.ndarray:
-    gaps = np.asarray(gaps, dtype=np.int64)
-    if gaps.size and np.any(gaps <= 0):
-        raise CodecError("gaps must be positive")
-    return np.cumsum(gaps) - 1
+    """Positive gap sequence -> strictly increasing indices.
+
+    Does not check the gaps: every gap the decoder returns has a leading one
+    bit, so it is at least 1.
+    """
+    indices = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    indices -= 1
+    return indices
 
 
 def elias_gamma_encode(gaps) -> bytes:
@@ -113,27 +127,34 @@ def elias_gamma_encode(gaps) -> bytes:
     g = np.asarray(gaps, dtype=np.int64)
     if g.size == 0:
         return b""
-    if np.any(g <= 0):
+    if g.min() <= 0:
         raise CodecError("gamma code is undefined for non-positive integers")
-    # bit_length via frexp. Exact below 2**53; above it the float64 cast can
-    # round up to the next power of two, one bit too many, which the shift
-    # test takes back.
-    _, exp = np.frexp(g.astype(np.float64))
-    blen = exp.astype(np.int64)
-    blen -= (g >> (blen - 1)) == 0
-    starts = np.zeros(g.size + 1, dtype=np.int64)
-    np.cumsum(2 * blen - 1, out=starts[1:])
-    bits = np.zeros(int(starts[-1]), dtype=np.uint8)
-    # Codeword i spans [starts[i], starts[i+1]); its blen[i] payload bits
-    # (leading 1 included) start after blen[i] - 1 zeros.
-    total_payload = int(blen.sum())
-    payload_start = starts[:-1] + blen - 1
-    csum = np.cumsum(blen) - blen
-    intra = np.arange(total_payload, dtype=np.int64) - np.repeat(csum, blen)
-    pos = np.repeat(payload_start, blen) + intra
-    shift = np.repeat(blen, blen) - 1 - intra
-    bits[pos] = ((np.repeat(g, blen) >> shift) & 1).astype(np.uint8)
-    return np.packbits(bits).tobytes()
+    # Built a 64-bit word at a time; see the module docstring. Bit lengths
+    # come from the float64 exponent. Exact below 2**53; above it the cast
+    # can round up to the next power of two, one bit too many, which the
+    # shift test takes back.
+    blen = g.astype(np.float64).view(np.int64) >> 52
+    blen -= 1022
+    if blen.max() > 53:
+        blen -= (g >> (blen - 1)) == 0
+    ends = np.cumsum(2 * blen - 1)
+    nbits = int(ends[-1])
+    # first[w]: the first codeword that ends in word w or later. The last
+    # word always holds an end, so every first[w] is a valid position.
+    bounds = np.arange(0, nbits, 64)
+    first = np.searchsorted(ends, bounds, side="right")
+    u = g.view(np.uint64)
+    words = np.bitwise_or.reduceat(u << (-ends & 63).view(np.uint64), first)
+    # reduceat returns the element itself for an empty run: clear the words
+    # that no codeword ends in.
+    words[:-1][first[1:] == first[:-1]] = 0
+    # The first codeword that ends in word w may start in word w - 1; its
+    # bits above the lowest ends - 64w go there.
+    cross = first[1:]
+    out = np.flatnonzero(ends[cross] - blen[cross] < bounds[1:])
+    cross = cross[out]
+    words[out] |= u[cross] >> (ends[cross] - bounds[out + 1]).view(np.uint64)
+    return words.astype(">u8").tobytes()[: (nbits + 7) >> 3]
 
 
 def elias_gamma_decode(data: bytes, count: int) -> np.ndarray:
@@ -308,10 +329,8 @@ _FIRST_ONE = _first_one_table()
 # End, relative to its byte, of a codeword that starts at offset o of byte v
 # and has its leading one in that byte: 2q - o + 1 for a leading one at q.
 _END_IN_BYTE = 2 * _FIRST_ONE - _OFFSETS + 1
-# Pointer doubling stops squaring its jump table once at most this many fill
-# passes remain: a square costs a pass over every bit position, a fill pass
-# only a call and ``stride`` starts.
-_FILL_PASSES = 64
+# Stride of the scalar walk over codeword starts; see _scan_gamma.
+_CHAIN_STRIDE = 16
 
 
 def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
@@ -320,10 +339,23 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     Returns the gaps and the byte offset just past the (padded) stream. The
     scan is vectorized over bit positions: a codeword that starts at bit p
     and has its leading one at bit q ends at 2q - p + 1, so one table maps
-    every bit position to the end of the codeword that would start there.
-    Pointer doubling over that table finds the ``count`` codeword starts in
-    stream order, and each value is read from a 64-bit window at its
-    leading one.
+    every bit position to the end of the codeword that would start there,
+    and each codeword's end is the next one's start. Pointer doubling
+    squares that table log2(_CHAIN_STRIDE) times, so one scalar step of the
+    squared table goes _CHAIN_STRIDE codewords ahead; a walk of those steps
+    finds every _CHAIN_STRIDE-th start, and _CHAIN_STRIDE - 1 vectorized
+    passes of the plain table fill in the starts between them. Each value
+    is then read from a 64-bit window at its leading one.
+
+    Why the stride is 16: a square is one gather over every bit position, a
+    walk step costs about one Python-level index, and a fill pass one call.
+    Doubling the stride adds a square and halves the walk. Timed on the
+    captured messages of the benchmark's two jwins workloads, 16 and 32
+    tied on the wide model's long streams (8 and 64 slower, 4 the slowest)
+    and 4, 8 and 16 tied on the small model's short ones (32 and 64
+    slower), so 16 is the one stride that is fastest on both. Both beat a
+    schedule without the walk, which squares until at most 16 or 64 fill
+    passes of growing stride are left.
     """
     if count == 0:
         return np.empty(0, dtype=np.int64), start
@@ -349,20 +381,22 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     far = np.minimum(2 * after[1:] - byte_at[:nbytes] + 1, nbits + 8)
     np.minimum(table, far[:, None] - _OFFSETS, out=table)
     jump[nbits:] = nbits + 1
-    # With step = jump composed ``stride`` times, each pass fills the next
-    # ``stride`` starts from those ``stride`` codewords back.
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
+    # bound[i] is where codeword i starts and codeword i - 1 ends.
     step = jump
-    filled = stride = 1
-    while filled < count:
-        w = min(stride, count - filled)
-        starts[filled : filled + w] = step[starts[filled - stride : filled - stride + w]]
-        filled += w
-        if filled == 2 * stride and filled * _FILL_PASSES < count:
-            step = step[step]
-            stride = filled
-    ends = jump[starts]
+    for _ in range(_CHAIN_STRIDE.bit_length() - 1):
+        step = step[step]
+    bound = np.empty(count + 1, dtype=np.int64)
+    hop = step.data
+    p = 0
+    coarse = [0] * (count // _CHAIN_STRIDE + 1)
+    for i in range(1, len(coarse)):
+        p = coarse[i] = hop[p]
+    bound[::_CHAIN_STRIDE] = coarse
+    for j in range(1, _CHAIN_STRIDE):
+        dst = bound[j::_CHAIN_STRIDE]
+        dst[:] = jump[bound[j - 1 :: _CHAIN_STRIDE][: dst.size]]
+    starts = bound[:-1]
+    ends = bound[1:]
     lead = (starts + ends - 1) >> 1
     length = ends - lead
     last = int(ends[-1])
@@ -381,13 +415,15 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     windows = np.ndarray((nbytes,), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
     at = lead >> 3
     shift = (lead & 7).view(np.uint64)
-    bits = windows[at] << shift
+    bits = windows[at]
+    bits <<= shift
     if longest > 57:
         # A value of more than 57 bits can reach into a ninth byte.
         spill = np.flatnonzero(shift + length.view(np.uint64) > 64)
         bits[spill] |= padded[at[spill] + 8].astype(np.uint64) >> (8 - shift[spill])
-    gaps = (bits >> (64 - length).view(np.uint64)).view(np.int64)
-    return gaps, start + (last + 7) // 8
+    np.subtract(64, length, out=length)
+    bits >>= length.view(np.uint64)
+    return bits.view(np.int64), start + (last + 7) // 8
 
 
 def regenerate_indices(update: SparseUpdate, coeff_len: int) -> None:

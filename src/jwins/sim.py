@@ -555,8 +555,10 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     One node trains normally. Two frozen snapshots chase it, each refreshed
     with the same per-round coefficient budget: one picks wavelet
     coefficients by accumulated importance, the other picks uniformly random
-    parameter slots. Rows: (round, mse_wavelet, mse_random, cum_wavelet,
-    cum_random).
+    parameter slots. The ranking is always jwins's, whatever ``cfg.algo``
+    says; with ``ablations.wavelet_on`` off it ranks raw parameters (0
+    levels), as a jwins node would. Rows: (round, mse_wavelet, mse_random,
+    cum_wavelet, cum_random).
     """
     if cfg.n != 1:
         raise ConfigError("the probe runs on a single node")
@@ -564,7 +566,7 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
         raise ConfigError("budget must lie in (0, 1]")
     rt = build_runtime(cfg)
     state = rt.states[0]
-    levels = cfg.wavelet_levels
+    levels = cfg.wavelet_levels if cfg.ablations.wavelet_on else 0
     plen = state.model.param_count
     k_rand = selection_size(budget, plen)
     x_prev = state.model.get_flat()

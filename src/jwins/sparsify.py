@@ -112,10 +112,12 @@ def selection_size(alpha: float, coeff_len: int) -> int:
 
 
 def top_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest |scores|; ties go to the lowest index.
+    """Indices of the k largest |scores|, sorted; ties go to the lowest index.
 
-    Partition-based (argpartition), so O(n) rather than O(n log n) for a
-    full sort.
+    Partition-based, so O(n) rather than O(n log n) for a full sort: the
+    k-th largest magnitude is the threshold, every entry above it is kept,
+    and the lowest-index entries equal to it fill the remaining slots. A
+    mask read in order is already sorted.
     """
     n = scores.size
     if k <= 0:
@@ -123,13 +125,10 @@ def top_indices(scores: np.ndarray, k: int) -> np.ndarray:
     if k >= n:
         return np.arange(n, dtype=np.int64)
     mag = np.abs(scores)
-    part = np.argpartition(mag, n - k)
-    threshold = mag[part[n - k]]
-    above = np.flatnonzero(mag > threshold)
-    ties = np.flatnonzero(mag == threshold)
-    sel = np.concatenate([above, ties[: k - above.size]])
-    sel.sort()
-    return sel.astype(np.int64)
+    threshold = np.partition(mag, n - k)[n - k]
+    keep = mag > threshold
+    keep[np.flatnonzero(mag == threshold)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def select_topk(scores: np.ndarray, alpha: float) -> np.ndarray:

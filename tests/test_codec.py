@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jwins.codec import (
     HEADER,
@@ -31,6 +33,7 @@ from jwins.codec import (
     resolve_indices,
     serialize,
     write_message_dump,
+    _CHAIN_STRIDE,
     _scan_gamma,
 )
 from jwins.sparsify import random_indices
@@ -183,13 +186,26 @@ class TestGamma:
 
     def test_encoder_matches_reference(self):
         """Same bytes as the Python-int encoder at every magnitude, so gaps
-        below 2**53 encode as they always did."""
+        below 2**53 encode as they always did. Behind 0 to 63 one-bit
+        codewords, a gap of each bit length starts at every offset of its
+        64-bit word, and the long ones cross into the next word."""
         rng = np.random.default_rng(8)
         for bits in range(1, 64):
             lo, hi = 2 ** (bits - 1), 2**bits - 1
             g = [lo, hi] + rng.integers(lo, hi, size=20, endpoint=True,
                                         dtype=np.int64).tolist()
             assert elias_gamma_encode(g) == _gamma_bytes(g), bits
+            for lead in range(64):
+                gaps = [1] * lead + [lo, hi, 3]
+                assert elias_gamma_encode(gaps) == _gamma_bytes(gaps), (bits, lead)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lead=st.integers(0, 63),
+           widths=st.lists(st.integers(1, 63), min_size=1, max_size=12),
+           data=st.data())
+    def test_encoder_matches_reference_property(self, lead, widths, data):
+        gaps = [1] * lead + [data.draw(st.integers(2 ** (w - 1), 2**w - 1)) for w in widths]
+        assert elias_gamma_encode(gaps) == _gamma_bytes(gaps)
 
     def test_63_zero_codeword_is_corrupt(self):
         """63 zeros then 64 bits hold a value of 2**63 or more: no int64 gap."""
@@ -502,6 +518,25 @@ class TestScanOracle:
             data = encode_indices(idx)
             self._check(data, 0, idx.size)
             self._check(data[:-1], 0, idx.size)
+
+    def test_counts_around_the_walk_stride(self):
+        """Counts on both sides of every multiple of the stride the scan walks
+        by, for whole, truncated and bit-flipped streams."""
+        rng = np.random.default_rng(15)
+        stride = _CHAIN_STRIDE
+        counts = sorted({c for m in (1, 2, 3, 16) for c in (m * stride - 2, m * stride - 1,
+                                                            m * stride, m * stride + 1)})
+        for count in counts:
+            for _ in range(12):
+                width = int(rng.integers(1, 64))
+                gaps = [int(g) for g in rng.integers(1, 2**width, count, dtype=np.uint64)]
+                stream = bytearray(_gamma_bytes(gaps))
+                self._check(bytes(stream), 0, count)
+                self._check(bytes(stream), 0, count + 1)
+                self._check(bytes(stream[: int(rng.integers(0, len(stream)))]), 0, count)
+                for bit in rng.integers(0, 8 * len(stream), int(rng.integers(1, 4))):
+                    stream[bit // 8] ^= 0x80 >> (bit % 8)
+                self._check(bytes(stream), 0, count)
 
     def test_mutated_messages_raise_only_codec_error(self):
         """Bit flips, truncation and appended bytes: a message either decodes

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from jwins import cli, codec, sim
+from jwins.learner import local_sgd
+from jwins.sparsify import random_indices, selection_size, top_indices
 from jwins.sim import (
     METRICS_HEADER,
     POOL_MIN_PARAMS,
@@ -467,6 +469,37 @@ class TestProbe:
             cum_r += mse_r
             assert cw == pytest.approx(cum_w, rel=1e-12)
             assert cr == pytest.approx(cum_r, rel=1e-12)
+
+    def test_wavelet_ablation_ranks_raw_parameters(self):
+        """With the wavelet ablated the probe ranks and refreshes raw
+        parameters, as a jwins node does: its rows equal a hand-run of the
+        probe in parameter space, and differ from the wavelet rows."""
+        cfg = _tiny(n=1, rounds=5, ablations={"wavelet_on": False})
+        rows = reconstruction_probe(cfg, 0.1)
+        assert rows != reconstruction_probe(_tiny(n=1, rounds=5), 0.1)
+        state = sim.build_runtime(cfg).states[0]
+        x_prev = state.model.get_flat()
+        recon_w, recon_r = x_prev.copy(), x_prev.copy()
+        scores = np.zeros(x_prev.size)
+        want = []
+        cum_w = cum_r = 0.0
+        for t in range(cfg.rounds):
+            local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
+            x = state.model.get_flat()
+            scores += x - x_prev
+            idx = top_indices(scores, selection_size(0.1, x.size))
+            recon_w[idx] = x[idx]
+            scores[idx] = 0.0
+            seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
+            ridx = random_indices(x.size, selection_size(0.1, x.size), seed)
+            recon_r[ridx] = x[ridx]
+            mse_w = float(np.mean((x - recon_w) ** 2))
+            mse_r = float(np.mean((x - recon_r) ** 2))
+            cum_w += mse_w
+            cum_r += mse_r
+            want.append((t + 1, mse_w, mse_r, cum_w, cum_r))
+            x_prev = x
+        assert rows == want
 
     def test_requires_single_node(self):
         with pytest.raises(ConfigError, match="single node"):

@@ -154,6 +154,12 @@ class TestSelectionSize:
             selection_size(1.5, 10)
 
 
+def _sorted_top(v: np.ndarray, k: int) -> np.ndarray:
+    """Top-k oracle: a full sort by descending |v|, ties to the lower index."""
+    order = np.lexsort((np.arange(v.size), -np.abs(v)))
+    return np.sort(order[:k])
+
+
 class TestTopK:
     def test_two_largest_magnitudes(self):
         sel = select_topk(np.array([3.0, -5.0, 2.0, 0.0]), 0.5)
@@ -175,10 +181,21 @@ class TestTopK:
             n = int(rng.integers(1, 400))
             k = int(rng.integers(0, n + 1))
             v = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0, 3.5], size=n)
-            got = top_indices(v, k)
-            order = np.lexsort((np.arange(n), -np.abs(v)))
-            want = np.sort(order[:k])
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(top_indices(v, k), _sorted_top(v, k))
+
+    def test_matches_full_sort_at_scale(self):
+        """60,438 scores on a coarse grid, so the threshold lands on a value
+        shared by many slots, with the exact zeros ``reset_selected`` leaves;
+        k also reaches into the zeros."""
+        rng = np.random.default_rng(15)
+        n = 60438
+        for round_no in range(4):
+            v = np.round(rng.normal(size=n), 1)
+            reset_selected(v, select_topk(v, 0.1 * (round_no + 1)))
+            zeros = int(np.count_nonzero(v == 0.0))
+            assert zeros > n // 10
+            for k in (1, 6044, 15110, n - zeros - 1, n - zeros + 7, n - 1):
+                np.testing.assert_array_equal(top_indices(v, k), _sorted_top(v, k))
 
     def test_permutation_consistency(self):
         """Permuting scores permutes the selection (no hidden position bias)."""
