@@ -140,45 +140,3 @@ def reshuffle(topo: Topology, round_no: int, run_seed: int) -> Topology:
     """Fresh graph with the same (n, d) for a dynamic-topology round."""
     return generate_regular(topo.n, topo.d, round_seed(run_seed, round_no))
 
-
-def save_edge_list(topo: Topology, path) -> None:
-    """Plain text: one header line "n d seed", then one "i j" line per edge
-    with i < j."""
-    lines = ["%d %d %d" % (topo.n, topo.d, topo.seed)]
-    for i, nb in enumerate(topo.neighbors):
-        for j in nb:
-            if i < j:
-                lines.append("%d %d" % (i, j))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_edge_list(path) -> Topology:
-    """Read a file written by ``save_edge_list``. Raises ValueError on a
-    malformed line, a repeated edge, or a node whose degree is not the
-    header's d."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw:
-        raise ValueError("empty edge list file")
-    head = raw[0].split()
-    if len(head) != 3:
-        raise ValueError("edge list header must be 'n d seed'")
-    n, d, seed = (int(x) for x in head)
-    adj = [set() for _ in range(n)]
-    for ln in raw[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError("bad edge line %r" % ln)
-        a, b = int(parts[0]), int(parts[1])
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise ValueError("bad edge %d-%d" % (a, b))
-        if b in adj[a]:
-            raise ValueError("repeated edge %d-%d" % (a, b))
-        adj[a].add(b)
-        adj[b].add(a)
-    for i, nb in enumerate(adj):
-        if len(nb) != d:
-            raise ValueError("node %d has degree %d, header says %d" % (i, len(nb), d))
-    neighbors = tuple(np.array(sorted(s), dtype=np.int64) for s in adj)
-    return Topology(n, d, neighbors, seed)

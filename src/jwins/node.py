@@ -3,16 +3,18 @@
 A round has two phases so that every node trains and builds its outgoing
 message before anyone averages:
 
-* ``prepare_round`` runs tau local SGD steps, scores what changed, selects
-  what to share, and returns the outgoing update.
+* ``prepare_round`` runs tau local SGD steps, selects what to share, and
+  returns the outgoing update.
 * ``finalize_round`` takes the inbox of neighbor updates, averages in the
-  shared domain, writes the averaged parameters back into the model, and
-  settles the importance scores for the next round.
+  shared domain and writes the averaged parameters back into the model.
 
-Four algorithms share this skeleton: the wavelet protocol (sparse updates in
-the wavelet domain picked by accumulated importance with a randomized
-cut-off), full sharing, seeded random sampling in parameter space, and a
-memory-efficient Choco-SGD baseline with error compensation.
+Four algorithms share this skeleton: the wavelet protocol, full sharing,
+seeded random sampling in parameter space, and a memory-efficient Choco-SGD
+baseline with error compensation. The wavelet protocol transforms the
+parameters once a round and shares the coefficients that drifted most since
+the node last shared them (``sparsify.select_drift``), with a randomized
+cut-off; averaging the sparse updates needs no score bookkeeping, because
+the drift is read off the next round's transform.
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ from .graph import MixingWeights
 from .learner import SGDConfig, local_sgd
 from .sparsify import (
     AlphaDistribution,
-    accumulate_averaging_delta,
-    accumulate_training_delta,
     draw_alpha,
     random_indices,
-    reset_selected,
-    select_topk,
+    select_drift,
     selection_size,
     top_indices,
 )
@@ -56,7 +55,8 @@ class Ablations:
 
     wavelet_on=False ranks and shares raw parameter deltas: the transform
     runs at 0 levels, which is the identity; accumulation_on=False
-    overwrites the score vector each round instead of summing;
+    ranks by the change of the current round alone (the reference is the
+    round's starting point, not each coefficient's last shared value);
     random_cutoff_on=False pins the cut-off fraction to the distribution
     mean; metadata_compression_on=False ships raw u32 indices instead of
     gamma-coded gaps.
@@ -105,12 +105,14 @@ class RoundOutcome:
 
 class NodeState:
     """Mutable per-node state: model, data slice, RNG streams, protocol
-    memory (importance scores or Choco mirrors), and the scratch carried
-    between the two phases of the current round.
+    memory (the jwins reference coefficients or Choco mirrors), and the
+    scratch carried between the two phases of the current round.
 
     ``levels`` is the wavelet level count of the shared domain: the
     configured count for jwins, 0 (parameter space) when the wavelet is
-    ablated and for every other algorithm.
+    ablated and for every other algorithm. ``ref`` holds, per coefficient,
+    its value when the node last shared it; the first ``prepare_round`` sets
+    it to the transform of the starting parameters.
     """
 
     def __init__(self, node_id: int, model, cfg: ProtocolConfig,
@@ -130,7 +132,7 @@ class NodeState:
         jwins = cfg.algo == Algo.JWINS
         self.levels = cfg.wavelet_levels if jwins and cfg.ablations.wavelet_on else 0
         self.coeff_len = coeff_length(plen, self.levels)
-        self.scores = np.zeros(self.coeff_len) if jwins else None
+        self.ref = None
         if cfg.algo == Algo.CHOCO:
             self.choco_hat = np.zeros(plen)
             self.choco_agg = np.zeros(plen)
@@ -143,20 +145,18 @@ def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> Spars
     The post-training parameters x_tau are kept as the model's own vector,
     not a copy: nothing writes the model until ``finalize_round`` sets x_next.
     """
-    # Only the wavelet protocol scores the training delta, so only it needs x0.
-    x0 = state.model.get_flat() if state.algo == Algo.JWINS else None
+    if state.algo == Algo.JWINS and (state.ref is None or not cfg.ablations.accumulation_on):
+        state.ref = dwt(state.model.theta, state.levels)
     local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
     x_tau = state.model.theta
 
     if state.algo == Algo.JWINS:
-        accumulate_training_delta(state.scores, x0, x_tau, state.levels,
-                                  cfg.ablations.accumulation_on)
         if cfg.ablations.random_cutoff_on:
             alpha = draw_alpha(cfg.alpha, state.rng_alpha)
         else:
             alpha = cfg.alpha.mean()
-        idx = select_topk(state.scores, alpha)
         coeffs = dwt(x_tau, state.levels)
+        idx = select_drift(coeffs, state.ref, alpha)
         update = codec.make_indexed_update(
             round_no, state.node_id, idx, coeffs[idx].astype(np.float32),
             compressed=cfg.ablations.metadata_compression_on,
@@ -243,7 +243,6 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
     w_self = float(weights.self_weight[self_id])
     acc = w_self * own
     norm = np.full(own.size, w_self)
-    touched = np.zeros(own.size, dtype=bool)
     seen = set()
     for sender, idx, values in contributions:
         if sender in seen:
@@ -258,17 +257,18 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
                 raise ValueError("dense contribution with wrong length")
             acc += wv
             norm += w
-            touched[:] = True
         else:
             acc[idx] += wv
             norm[idx] += w
-            touched[idx] = True
     # Every slot is divided, then the untouched ones get their own value
     # back: cheaper than a masked divide. With a zero self weight an
-    # untouched slot divides 0 by 0 before it is overwritten.
+    # untouched slot divides 0 by 0 before it is overwritten. A slot is
+    # untouched exactly when its norm is still the self weight, because
+    # every neighbor weight is positive (Metropolis-Hastings gives at least
+    # 1 / n) and so moves the norm of each slot it covers.
+    untouched = np.flatnonzero(norm == w_self)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(acc, norm, out=acc)
-    untouched = np.flatnonzero(~touched)
     acc[untouched] = own[untouched]
     return acc
 
@@ -284,14 +284,12 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
 
     if state.algo == Algo.JWINS:
-        reset_selected(state.scores, sent)
         if contribs:
             avg = sparse_average(shared, contribs, weights, state.node_id)
             x_next = idwt(avg, state.model.param_count, state.levels)
-            accumulate_averaging_delta(state.scores, x_tau, x_next, state.levels)
         else:
             # Nothing arrived: parameters stay exactly at the post-training
-            # point and the averaging delta is exactly zero.
+            # point.
             x_next = x_tau
         state.model.set_flat(x_next)
     elif state.algo in (Algo.FULL, Algo.RANDOM):

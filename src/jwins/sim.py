@@ -58,10 +58,8 @@ from .node import (
 from .sparsify import (
     DEFAULT_ALPHA_SUPPORT,
     AlphaDistribution,
-    accumulate_training_delta,
     random_indices,
-    reset_selected,
-    select_topk,
+    select_drift,
     selection_size,
 )
 from .wavelet import dwt, idwt
@@ -279,6 +277,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError("degree must satisfy 0 < d < n")
         if (cfg.n * cfg.topology.d) % 2 != 0:
             raise ConfigError("n * d must be even")
+        if cfg.topology.d == 1 and cfg.n > 2:
+            raise ConfigError("degree 1 connects no more than 2 nodes")
     if cfg.algo == Algo.CHOCO.value and cfg.topology.dynamic:
         # The error-compensation state assumes the neighborhood it was built
         # against; reject the combination up front rather than mid-run.
@@ -291,6 +291,13 @@ def _validate(cfg: RunConfig) -> None:
         for attr in ("train_images", "train_labels", "test_images", "test_labels"):
             if getattr(cfg.data, attr) is None:
                 raise ConfigError("idx data needs %s" % attr)
+    elif cfg.n > 1:
+        # An idx file's sample count is known only once loaded, so for idx
+        # data ``shard_partition`` makes this check in ``build_runtime``.
+        shards = cfg.n * cfg.partition.shards_per_node
+        if cfg.data.classes * cfg.data.per_class < shards:
+            raise ConfigError("synthetic data has %d training samples, too few to cut %d shards"
+                              % (cfg.data.classes * cfg.data.per_class, shards))
     try:
         _protocol_config(cfg)
     except ValueError as exc:
@@ -553,8 +560,9 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     """Single-node diagnostic: how well does each sharing rule track the model?
 
     One node trains normally. Two frozen snapshots chase it, each refreshed
-    with the same per-round coefficient budget: one picks wavelet
-    coefficients by accumulated importance, the other picks uniformly random
+    with the same per-round coefficient budget: one picks the wavelet
+    coefficients that drifted most from the snapshot (``select_drift``, with
+    the snapshot as the reference), the other picks uniformly random
     parameter slots. The ranking is always jwins's, whatever ``cfg.algo``
     says; with ``ablations.wavelet_on`` off it ranks raw parameters (0
     levels), as a jwins node would. Rows: (round, mse_wavelet, mse_random,
@@ -569,20 +577,16 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     levels = cfg.wavelet_levels if cfg.ablations.wavelet_on else 0
     plen = state.model.param_count
     k_rand = selection_size(budget, plen)
-    x_prev = state.model.get_flat()
-    recon_coeffs = dwt(x_prev, levels)
-    recon_params = x_prev.copy()
-    scores = np.zeros(recon_coeffs.size)
+    x0 = state.model.get_flat()
+    recon_coeffs = dwt(x0, levels)
+    recon_params = x0.copy()
     cum_w = 0.0
     cum_r = 0.0
     rows = []
     for t in range(cfg.rounds):
         local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
         x = state.model.get_flat()
-        accumulate_training_delta(scores, x_prev, x, levels)
-        idx = select_topk(scores, budget)
-        recon_coeffs[idx] = dwt(x, levels)[idx]
-        reset_selected(scores, idx)
+        select_drift(dwt(x, levels), recon_coeffs, budget)
         approx = idwt(recon_coeffs, plen, levels)
         mse_w = float(np.mean((x - approx) ** 2))
         seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
@@ -592,7 +596,6 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
         cum_w += mse_w
         cum_r += mse_r
         rows.append((t + 1, mse_w, mse_r, cum_w, cum_r))
-        x_prev = x
     if out_path is not None:
         lines = ["# config: " + json.dumps(cfg.resolved(), sort_keys=True),
                  "# budget: %.10g" % budget,

@@ -1,12 +1,13 @@
-"""Importance accumulation and index selection for sparsified sharing.
+"""Importance ranking and index selection for sparsified sharing.
 
-Each node keeps a per-coefficient score vector V, a plain float64 array,
-that sums the transform of every parameter change it has seen (its own
-training steps and the shift applied by averaging). The transform is the
-``levels``-level wavelet of ``wavelet.dwt``; 0 levels scores raw parameter
-deltas. The top coefficients of |V| are the ones shared in a round, returned
-as a sorted index array; shared entries are reset so unsent changes keep
-accumulating until they win a slot.
+A coefficient's score is the sum of every signed change it has gone through
+since the node last shared it: its own training steps and the shifts that
+averaging applied. The transform (``wavelet.dwt`` at the node's level count;
+0 levels is raw parameter space) is linear, so that sum telescopes to the
+drift ``coeffs - ref``, where ``ref`` holds each coefficient's value when it
+was last shared. ``select_drift`` ranks that drift, returns the top entries as
+a sorted index array and moves their ``ref`` to the current value; unshared
+slots keep drifting until they win a slot.
 """
 
 from __future__ import annotations
@@ -15,55 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import dwt
-
 # Cut-off fractions and probabilities used when a round draws how much to
 # send. Mean is 0.342857...; roughly a third of the coefficient vector.
 DEFAULT_ALPHA_SUPPORT = (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 1.0)
 DEFAULT_ALPHA_PROBS = (1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7)
-
-
-def _delta_scores(before: np.ndarray, after: np.ndarray, levels: int) -> np.ndarray:
-    if before.shape != after.shape:
-        raise ValueError("parameter vectors differ in length")
-    delta = np.asarray(after, dtype=np.float64) - np.asarray(before, dtype=np.float64)
-    return dwt(delta, levels)
-
-
-def accumulate_training_delta(
-    scores: np.ndarray,
-    before: np.ndarray,
-    after: np.ndarray,
-    levels: int,
-    accumulate: bool = True,
-) -> None:
-    """Fold one local-training parameter change into the scores, in place.
-
-    ``levels`` is the wavelet level count of the scoring domain; 0 scores
-    raw parameter deltas (the transform-off ablation). With ``accumulate``
-    False the delta overwrites the scores instead of adding to them, which
-    reduces ranking to "largest change this round".
-    """
-    delta = _delta_scores(before, after, levels)
-    if delta.shape != scores.shape:
-        raise ValueError("delta length does not match the scores")
-    if accumulate:
-        scores += delta
-    else:
-        scores[:] = delta
-
-
-def accumulate_averaging_delta(
-    scores: np.ndarray,
-    pre_avg: np.ndarray,
-    post_avg: np.ndarray,
-    levels: int,
-) -> None:
-    """Fold the parameter shift applied by one averaging step into the scores."""
-    delta = _delta_scores(pre_avg, post_avg, levels)
-    if delta.shape != scores.shape:
-        raise ValueError("delta length does not match the scores")
-    scores += delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +92,17 @@ def select_topk(scores: np.ndarray, alpha: float) -> np.ndarray:
     return top_indices(scores, selection_size(alpha, scores.size))
 
 
+def select_drift(coeffs: np.ndarray, ref: np.ndarray, alpha: float) -> np.ndarray:
+    """Sorted indices of the top-|coeffs - ref| entries for a cut-off
+    fraction; their ``ref`` entries become ``coeffs``, in place, so the
+    shared slots drift from the value they were sent at."""
+    if coeffs.shape != ref.shape:
+        raise ValueError("coefficients and reference differ in length")
+    idx = select_topk(coeffs - ref, alpha)
+    ref[idx] = coeffs[idx]
+    return idx
+
+
 def random_indices(coeff_len: int, k: int, seed: int) -> np.ndarray:
     """Sorted k-subset of [0, coeff_len) fully determined by the seed.
 
@@ -152,10 +119,3 @@ def random_indices(coeff_len: int, k: int, seed: int) -> np.ndarray:
     mask = np.zeros(coeff_len, dtype=bool)
     mask[idx] = True
     return np.flatnonzero(mask).astype(np.int64, copy=False)
-
-
-def reset_selected(scores: np.ndarray, indices: np.ndarray) -> None:
-    """Zero the scores of shared entries; unshared scores keep accumulating."""
-    if indices.size and int(indices.max()) >= scores.size:
-        raise ValueError("selection index out of range")
-    scores[indices] = 0.0

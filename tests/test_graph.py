@@ -7,11 +7,9 @@ from jwins.graph import (
     Topology,
     derived_seed,
     generate_regular,
-    load_edge_list,
     metropolis_hastings,
     reshuffle,
     round_seed,
-    save_edge_list,
     seed_sequence,
 )
 
@@ -162,41 +160,3 @@ class TestReshuffle:
         np.testing.assert_array_equal(seed_sequence(7, 6, 1).generate_state(2, np.uint64),
                                       [9305545609454570415, 5100130952736462770])
 
-
-class TestEdgeList:
-    def test_roundtrip(self, tmp_path):
-        topo = generate_regular(12, 4, seed=9)
-        path = tmp_path / "topo.txt"
-        save_edge_list(topo, path)
-        back = load_edge_list(path)
-        assert back.n == 12 and back.d == 4 and back.seed == 9
-        for x, y in zip(topo.neighbors, back.neighbors):
-            np.testing.assert_array_equal(x, y)
-
-    def test_header_and_edge_count(self, tmp_path):
-        topo = generate_regular(10, 4, seed=10)
-        path = tmp_path / "topo.txt"
-        save_edge_list(topo, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "10 4 10"
-        assert len(lines) - 1 == 10 * 4 // 2
-
-    def test_bad_files(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("")
-        with pytest.raises(ValueError):
-            load_edge_list(p)
-        p.write_text("3 2\n0 1\n")
-        with pytest.raises(ValueError):
-            load_edge_list(p)
-        p.write_text("3 2 0\n0 5\n")
-        with pytest.raises(ValueError):
-            load_edge_list(p)
-        # Degrees 3, 2, 2, 1 under a header that says 2.
-        p.write_text("4 2 0\n0 1\n0 2\n0 3\n1 2\n")
-        with pytest.raises(ValueError, match="degree"):
-            load_edge_list(p)
-        for dup in ("0 1", "1 0"):
-            p.write_text("4 2 0\n0 1\n1 2\n2 3\n3 0\n%s\n" % dup)
-            with pytest.raises(ValueError, match="repeated edge"):
-                load_edge_list(p)

@@ -21,7 +21,7 @@ from jwins.node import (
     prepare_round,
     sparse_average,
 )
-from jwins.sparsify import random_indices, selection_size
+from jwins.sparsify import random_indices, selection_size, top_indices
 from jwins.wavelet import dwt
 
 
@@ -309,42 +309,43 @@ class TestJwinsRound:
         assert len(seen) >= 4
 
     def test_empty_inbox_keeps_post_training_point(self):
-        """No arrivals: parameters land exactly on x_tau, scores of the
-        attempted selection reset to zero, everything else untouched."""
+        """No arrivals: parameters land exactly on x_tau, the attempted
+        selection's reference moves to its coefficients at x_tau, and every
+        other reference stays at the starting point's transform."""
         cfg = ProtocolConfig(**self.CFG)
         W = _pair_weights()
         state = _make_state(0, cfg)
+        x0 = state.model.get_flat()
         update = prepare_round(state, 0, cfg)
         x_tau = state.model.get_flat()
-        before = state.scores.copy()
         finalize_round(state, [], W, 0, cfg)
         np.testing.assert_array_equal(state.model.get_flat(), x_tau)
-        after = state.scores
-        np.testing.assert_array_equal(after[update.indices], 0.0)
-        mask = np.ones(after.size, dtype=bool)
-        mask[update.indices] = False
-        np.testing.assert_array_equal(after[mask], before[mask])
+        coeffs = dwt(x_tau, state.levels)
+        want = dwt(x0, state.levels)
+        want[update.indices] = coeffs[update.indices]
+        np.testing.assert_array_equal(state.ref, want)
+        np.testing.assert_array_equal(update.values, coeffs[update.indices].astype(np.float32))
 
     def test_score_bookkeeping_after_real_round(self):
-        """After averaging, scores equal the pre-round scores with the sent
-        slots zeroed plus the transform of the averaging correction."""
+        """After averaging, the drift equals the pre-round drift plus the
+        transform of the training move, with the sent slots zeroed, plus the
+        transform of the averaging correction."""
         cfg = ProtocolConfig(**self.CFG)
         W = _pair_weights()
         states = [_make_state(i, cfg, data_seed=50) for i in range(2)]
-        _sync_round(states, W, 0, cfg)  # warm up so scores are nonzero
+        _sync_round(states, W, 0, cfg)  # warm up so the drift is nonzero
         s = states[0]
-        pre_scores = s.scores.copy()
+        x_start = s.model.get_flat()
+        pre_drift = dwt(x_start, s.levels) - s.ref
         updates = [prepare_round(st, 1, cfg) for st in states]
-        mid_scores = s.scores.copy()
         x_tau = s.model.get_flat()
         finalize_round(s, [updates[1]], W, 1, cfg)
         x_next = s.model.get_flat()
-        want = mid_scores.copy()
+        want = pre_drift + dwt(x_tau - x_start, s.levels)
         want[updates[0].indices] = 0.0
         want += dwt(x_next - x_tau, s.levels)
-        np.testing.assert_allclose(s.scores, want, rtol=0, atol=1e-12)
-        # and the mid-round scores were pre + transform of the training move
-        assert not np.array_equal(pre_scores, mid_scores)
+        np.testing.assert_allclose(dwt(x_next, s.levels) - s.ref, want, rtol=0, atol=1e-12)
+        assert np.any(pre_drift != 0.0)
 
     def test_round_trip_changes_all_nodes(self):
         cfg = ProtocolConfig(**self.CFG)
@@ -398,6 +399,61 @@ class TestJwinsRound:
         for r in range(5):
             for oc in _sync_round(states, W, r, cfg):
                 assert oc.alpha_used == pytest.approx(cfg.alpha.mean())
+
+
+class _AccumulatedScores:
+    """The score bookkeeping the drift form replaced: add the transform of
+    each training move, zero the sent slots, add the transform of each
+    averaging shift."""
+
+    def __init__(self, coeff_len, levels, accumulate):
+        self.scores = np.zeros(coeff_len)
+        self.levels = levels
+        self.accumulate = accumulate
+
+    def add_training(self, before, after):
+        delta = dwt(after - before, self.levels)
+        if self.accumulate:
+            self.scores += delta
+        else:
+            self.scores[:] = delta
+
+    def add_averaging(self, pre_avg, post_avg):
+        self.scores += dwt(post_avg - pre_avg, self.levels)
+
+
+class TestDriftMatchesAccumulatedScores:
+    @pytest.mark.parametrize("accumulation_on", [True, False])
+    @pytest.mark.parametrize("wavelet_on", [True, False])
+    def test_selection_and_scores_each_round(self, accumulation_on, wavelet_on):
+        """Eight rounds on a 4-node ring: every node's selection equals the
+        top entries of the accumulated scores, and ``dwt(x) - ref`` equals
+        those scores after the share and after averaging."""
+        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.1, tau=2),
+                             ablations=Ablations(wavelet_on=wavelet_on,
+                                                 accumulation_on=accumulation_on))
+        W = metropolis_hastings(generate_regular(4, 2, seed=3))
+        states = [_make_state(i, cfg, num_features=16, classes=4, samples=20, data_seed=60)
+                  for i in range(4)]
+        oracles = [_AccumulatedScores(s.coeff_len, s.levels, accumulation_on) for s in states]
+        assert states[0].levels == (4 if wavelet_on else 0)
+        for r in range(8):
+            before = [s.model.get_flat() for s in states]
+            updates = [prepare_round(s, r, cfg) for s in states]
+            x_tau = [s.model.get_flat() for s in states]
+            for s, o, u, x0, x1 in zip(states, oracles, updates, before, x_tau):
+                o.add_training(x0, x1)
+                np.testing.assert_array_equal(u.indices, top_indices(o.scores, u.k))
+                o.scores[u.indices] = 0.0
+                np.testing.assert_allclose(dwt(x1, s.levels) - s.ref, o.scores,
+                                           rtol=0, atol=1e-12)
+            for s, o, x1 in zip(states, oracles, x_tau):
+                inbox = [updates[j] for j in W.neighbors[s.node_id]]
+                finalize_round(s, inbox, W, r, cfg)
+                x_next = s.model.get_flat()
+                o.add_averaging(x1, x_next)
+                np.testing.assert_allclose(dwt(x_next, s.levels) - s.ref, o.scores,
+                                           rtol=0, atol=1e-12)
 
 
 class TestInboxValidation:

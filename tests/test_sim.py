@@ -88,6 +88,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="even"):
             config_from_dict({"n": 5, "topology": {"d": 3}})
 
+    def test_degree_one_beyond_two_nodes(self):
+        # A 1-regular graph is a matching, connected only for n = 2.
+        with pytest.raises(ConfigError, match="degree 1"):
+            config_from_dict({"n": 4, "topology": {"d": 1}})
+        assert config_from_dict({"n": 2, "topology": {"d": 1}}).n == 2
+
+    def test_synthetic_data_too_small_for_shards(self):
+        # 3 classes * 5 samples cannot be cut into 8 * 2 shards.
+        raw = {"n": 8, "topology": {"d": 2}, "data": {"classes": 3, "per_class": 5}}
+        with pytest.raises(ConfigError, match="too few to cut 16 shards"):
+            config_from_dict(raw)
+        raw["data"]["per_class"] = 6
+        assert config_from_dict(raw).data.per_class == 6
+
     def test_choco_rejects_dynamic_topology(self):
         with pytest.raises(ConfigError, match="dynamic"):
             config_from_dict({"algo": "choco", "topology": {"dynamic": True}})

@@ -1,84 +1,98 @@
-"""Accumulation, alpha draws, and TopK / random selection tests."""
+"""Drift ranking, alpha draws, and TopK / random selection tests."""
 
 import numpy as np
 import pytest
 
 from jwins.sparsify import (
     AlphaDistribution,
-    accumulate_averaging_delta,
-    accumulate_training_delta,
     draw_alpha,
     random_indices,
-    reset_selected,
+    select_drift,
     select_topk,
     selection_size,
     top_indices,
 )
-from jwins.wavelet import coeff_length, dwt
+from jwins.wavelet import dwt
 
 
 class TestAccumulator:
+    """The score of a coefficient accumulates every change since it was last
+    shared. ``select_drift`` reads it as ``coeffs - ref``; these tests hold
+    it to the sum of transformed parameter deltas that defines it."""
+
     def test_zero_delta_leaves_scores(self):
-        scores = np.full(coeff_length(50, 4), 7.0)
         x = np.arange(50.0)
-        accumulate_training_delta(scores, x, x, 4)
-        np.testing.assert_array_equal(scores, 7.0)
+        ref = dwt(x, 4)
+        before = ref.copy()
+        idx = select_drift(dwt(x, 4), ref, 0.5)
+        assert idx.size == selection_size(0.5, ref.size)
+        np.testing.assert_array_equal(ref, before)
 
     def test_from_zero_vector_gives_dwt(self):
         x = np.random.default_rng(0).normal(size=64)
-        scores = np.zeros(coeff_length(64, 4))
-        accumulate_training_delta(scores, np.zeros(64), x, 4)
-        np.testing.assert_allclose(scores, dwt(x, 4), atol=1e-12)
+        ref = dwt(np.zeros(64), 4)
+        coeffs = dwt(x, 4)
+        idx = select_drift(coeffs, ref, 0.25)
+        np.testing.assert_array_equal(idx, select_topk(coeffs, 0.25))
+        np.testing.assert_array_equal(ref[idx], coeffs[idx])
 
     def test_two_deltas_sum_linearly(self):
-        """dwt(d1) + dwt(d2) = dwt(d1 + d2), computed both ways."""
+        """dwt(c) - dwt(a) = dwt(b - a) + dwt(c - b): the drift telescopes."""
         rng = np.random.default_rng(1)
         a, b, c = rng.normal(size=(3, 100))
-        scores = np.zeros(coeff_length(100, 4))
-        accumulate_training_delta(scores, a, b, 4)
-        accumulate_training_delta(scores, b, c, 4)
-        np.testing.assert_allclose(scores, dwt(c - a, 4), rtol=1e-9, atol=1e-12)
+        ref = dwt(a, 4)
+        summed = dwt(b - a, 4) + dwt(c - b, 4)
+        np.testing.assert_allclose(dwt(c, 4) - ref, summed, rtol=1e-9, atol=1e-12)
+        idx = select_drift(dwt(c, 4), ref, 0.3)
+        np.testing.assert_array_equal(idx, select_topk(summed, 0.3))
 
     def test_disabled_overwrites(self):
+        """A reference taken at the round's start ranks that round's change
+        alone, as the accumulation-off ablation does."""
         rng = np.random.default_rng(2)
         a, b, c = rng.normal(size=(3, 30))
-        scores = np.zeros(coeff_length(30, 4))
-        accumulate_training_delta(scores, a, b, 4, accumulate=False)
-        accumulate_training_delta(scores, b, c, 4, accumulate=False)
-        np.testing.assert_allclose(scores, dwt(c - b, 4), atol=1e-12)
+        ref = dwt(a, 4)
+        select_drift(dwt(b, 4), ref, 0.4)
+        ref = dwt(b, 4)
+        np.testing.assert_allclose(dwt(c, 4) - ref, dwt(c - b, 4), atol=1e-12)
 
     def test_averaging_delta_adds(self):
+        """A shared slot drifts from its shared value, an unshared one from
+        its older reference, and a later shift adds to both."""
         rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(2, 40))
-        scores = np.zeros(coeff_length(40, 4))
-        accumulate_averaging_delta(scores, a, a, 4)
-        np.testing.assert_array_equal(scores, 0.0)
-        accumulate_averaging_delta(scores, a, b, 4)
-        np.testing.assert_allclose(scores, dwt(b - a, 4), atol=1e-12)
+        a, b, c = rng.normal(size=(3, 40))
+        ref = dwt(a, 4)
+        idx = select_drift(dwt(b, 4), ref, 0.25)
+        sent = np.zeros(ref.size, dtype=bool)
+        sent[idx] = True
+        drift = dwt(c, 4) - ref
+        np.testing.assert_allclose(drift[sent], dwt(c - b, 4)[sent], atol=1e-12)
+        np.testing.assert_allclose(drift[~sent], dwt(c - a, 4)[~sent], atol=1e-12)
 
     def test_localized_change_scores_locally(self):
-        """Averaging one parameter changes scores only where its dwt lives."""
+        """Moving one parameter gives drift only where its dwt lives, and
+        only those coefficients are picked."""
         n = 256
-        scores = np.zeros(coeff_length(n, 4))
         pre = np.zeros(n)
         post = np.zeros(n)
         post[130] = 1.0
-        accumulate_averaging_delta(scores, pre, post, 4)
-        oracle = dwt(post - pre, 4)
-        np.testing.assert_allclose(scores, oracle, atol=1e-14)
-        assert np.count_nonzero(np.abs(scores) > 1e-12) < scores.size // 4
+        ref = dwt(pre, 4)
+        drift = dwt(post, 4) - ref
+        np.testing.assert_allclose(drift, dwt(post - pre, 4), atol=1e-14)
+        live = np.flatnonzero(np.abs(drift) > 1e-12)
+        assert live.size < drift.size // 4
+        idx = select_drift(dwt(post, 4), ref, live.size / drift.size)
+        np.testing.assert_array_equal(idx, live)
 
     def test_raw_space_at_zero_levels(self):
-        scores = np.zeros(10)
-        accumulate_training_delta(scores, np.zeros(10), np.arange(10.0), 0)
-        np.testing.assert_array_equal(scores, np.arange(10.0))
+        ref = dwt(np.zeros(10), 0)
+        coeffs = dwt(np.arange(10.0), 0)
+        np.testing.assert_array_equal(coeffs - ref, np.arange(10.0))
+        np.testing.assert_array_equal(select_drift(coeffs, ref, 0.3), [7, 8, 9])
 
     def test_length_mismatch(self):
-        scores = np.zeros(5)
         with pytest.raises(ValueError):
-            accumulate_training_delta(scores, np.zeros(5), np.zeros(6), 0)
-        with pytest.raises(ValueError):
-            accumulate_training_delta(scores, np.zeros(6), np.zeros(6), 0)
+            select_drift(np.zeros(5), np.zeros(6), 0.5)
 
 
 class TestAlpha:
@@ -185,13 +199,13 @@ class TestTopK:
 
     def test_matches_full_sort_at_scale(self):
         """60,438 scores on a coarse grid, so the threshold lands on a value
-        shared by many slots, with the exact zeros ``reset_selected`` leaves;
-        k also reaches into the zeros."""
+        shared by many slots, with the exact zeros a shared slot's drift
+        starts from; k also reaches into the zeros."""
         rng = np.random.default_rng(15)
         n = 60438
         for round_no in range(4):
             v = np.round(rng.normal(size=n), 1)
-            reset_selected(v, select_topk(v, 0.1 * (round_no + 1)))
+            v[select_topk(v, 0.1 * (round_no + 1))] = 0.0
             zeros = int(np.count_nonzero(v == 0.0))
             assert zeros > n // 10
             for k in (1, 6044, 15110, n - zeros - 1, n - zeros + 7, n - 1):
@@ -209,33 +223,39 @@ class TestTopK:
 
     def test_after_reset_zeroed_not_reselected(self):
         rng = np.random.default_rng(12)
-        scores = np.abs(rng.normal(size=100)) + 0.1
-        first = select_topk(scores, 0.2)
-        reset_selected(scores, first)
-        second = select_topk(scores, 0.2)
+        coeffs = np.abs(rng.normal(size=100)) + 0.1
+        ref = np.zeros(100)
+        first = select_drift(coeffs, ref, 0.2)
+        second = select_drift(coeffs, ref, 0.2)
         assert not set(first.tolist()) & set(second.tolist())
 
 
 class TestReset:
+    """Sharing a slot moves its reference to the shared value."""
+
     def test_reset_all(self):
-        scores = np.arange(1.0, 6.0)
-        reset_selected(scores, select_topk(scores, 1.0))
-        np.testing.assert_array_equal(scores, 0.0)
+        coeffs = np.arange(1.0, 6.0)
+        ref = np.zeros(5)
+        select_drift(coeffs, ref, 1.0)
+        np.testing.assert_array_equal(ref, coeffs)
 
     def test_reset_none(self):
-        scores = np.arange(1.0, 6.0)
-        reset_selected(scores, select_topk(scores, 0.0))
-        np.testing.assert_array_equal(scores, np.arange(1.0, 6.0))
+        ref = np.zeros(5)
+        assert select_drift(np.arange(1.0, 6.0), ref, 0.0).size == 0
+        np.testing.assert_array_equal(ref, 0.0)
 
     def test_reset_subset(self):
-        scores = np.array([3.0, -5.0, 2.0])
-        reset_selected(scores, np.array([1]))
-        np.testing.assert_array_equal(scores, [3.0, 0.0, 2.0])
+        ref = np.array([1.0, 1.0, 1.0])
+        idx = select_drift(np.array([3.0, -5.0, 2.0]), ref, 0.3)
+        np.testing.assert_array_equal(idx, [1])
+        np.testing.assert_array_equal(ref, [1.0, -5.0, 1.0])
 
     def test_out_of_range(self):
-        scores = np.zeros(3)
+        """A cut-off outside [0, 1] raises and leaves the reference alone."""
+        ref = np.zeros(3)
         with pytest.raises(ValueError):
-            reset_selected(scores, np.array([5]))
+            select_drift(np.ones(3), ref, 1.5)
+        np.testing.assert_array_equal(ref, 0.0)
 
 
 def _reference_random_indices(coeff_len, k, seed):
