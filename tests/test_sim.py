@@ -414,6 +414,11 @@ class TestGolden:
         ({"ablations": {"accumulation_on": False}}, "99a6067c61dd24a7"),
         ({"ablations": {"random_cutoff_on": False}}, "732af7cc86ef523a"),
         ({"ablations": {"metadata_compression_on": False}}, "528261bee10e70b9"),
+        # The MLP path. Every node holds 10 samples, so batch 8 draws without
+        # replacement and batch 16 with replacement.
+        ({"model": {"kind": "mlp", "hidden": 16}}, "3933e45fdb8a8a5f"),
+        ({"model": {"kind": "mlp", "hidden": 16}, "sgd": {"batch_size": 16}},
+         "3d564887653b9a97"),
     ])
     def test_metrics_body(self, tmp_path, over, want):
         path = tmp_path / "metrics.csv"
