@@ -4,7 +4,9 @@ Two small classifiers are provided, both trained with plain mini-batch SGD
 on softmax cross-entropy. Parameters live in one flat float64 vector; the
 weight matrices and bias vectors are views into it, laid out layer by layer
 as row-major weights followed by biases. That flat vector is exactly what
-the communication layer transforms and shares.
+the communication layer transforms and shares. A model can also hold a
+stack of such vectors, one row per node, and ``local_sgd`` trains a stack
+with one forward and backward pass per step.
 """
 
 from __future__ import annotations
@@ -43,121 +45,166 @@ class SGDConfig:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-class SoftmaxRegression:
+def _label_slots(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row, label) indices of each sample's own class in a
+    ``(..., batch, classes)`` array reshaped to ``(-1, classes)``."""
+    return np.arange(y.size), y.ravel()
+
+
+def _nll(logp: np.ndarray, y: np.ndarray):
+    """Mean negative log-likelihood over the batch axis: a float for one
+    batch, one per node for a stack of them."""
+    picked = logp.reshape(-1, logp.shape[-1])[_label_slots(y)].reshape(y.shape)
+    return -picked.mean(axis=-1)
+
+
+class _FlatModel:
+    """Parameters in one flat float64 buffer; subclasses lay out the layers.
+
+    ``theta`` is one node's vector (P,) or a stack of nodes' vectors (G, P),
+    and every layer view keeps its leading axes, so one forward and backward
+    pass serves a whole stack. The buffer may be a caller's (a row, or rows,
+    of a larger matrix); the model then reads and writes it in place.
+    """
+
+    def _bind(self, theta: np.ndarray | None, size: int) -> None:
+        if theta is None:
+            theta = np.zeros(size)
+        elif theta.shape[-1] != size:
+            raise ValueError("flat vector length does not match model")
+        self.theta = theta
+
+    @property
+    def param_count(self) -> int:
+        return self.theta.shape[-1]
+
+    def get_flat(self) -> np.ndarray:
+        return self.theta.copy()
+
+    def set_flat(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.theta.shape:
+            raise ValueError("flat vector length does not match model")
+        self.theta[:] = flat
+
+    def loss_and_grad(self, X: np.ndarray, y: np.ndarray):
+        """Batch loss and its gradient; X is (..., batch, features) with
+        the leading axes of ``theta``."""
+        logp, grad = self.logp_and_grad(X, y)
+        return _nll(logp, y), grad
+
+
+class SoftmaxRegression(_FlatModel):
     """Multinomial logistic regression on flat parameters.
 
     Layout: W (classes x features, row-major), then b (classes).
     """
 
     def __init__(self, features: int, classes: int, rng: np.random.Generator | None = None,
-                 init_scale: float = 0.01):
+                 init_scale: float = 0.01, theta: np.ndarray | None = None):
         if features < 1 or classes < 2:
             raise ValueError("need at least one feature and two classes")
         self.features = features
         self.classes = classes
-        self.theta = np.zeros(classes * features + classes)
-        self.W = self.theta[: classes * features].reshape(classes, features)
-        self.b = self.theta[classes * features :]
+        self._bind(theta, classes * features + classes)
+        self.W, self.b = self._layers(self.theta)
         if rng is not None and init_scale > 0:
-            self.theta[:] = rng.normal(0.0, init_scale, self.theta.size)
+            self.theta[:] = rng.normal(0.0, init_scale, self.theta.shape)
 
-    @property
-    def param_count(self) -> int:
-        return self.theta.size
+    def on(self, theta: np.ndarray) -> "SoftmaxRegression":
+        """The same model over another parameter buffer, not copied."""
+        return SoftmaxRegression(self.features, self.classes, theta=theta)
 
-    def get_flat(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.theta.shape:
-            raise ValueError("flat vector length does not match model")
-        self.theta[:] = flat
+    def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """W, b as views into a flat buffer of this layout."""
+        n = self.classes * self.features
+        return (flat[..., :n].reshape(flat.shape[:-1] + (self.classes, self.features)),
+                flat[..., n:])
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.W.T + self.b
+        z = np.matmul(X, self.W.swapaxes(-1, -2))
+        z += self.b[..., None, :]
+        return z
 
-    def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        batch = X.shape[0]
+    def logp_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-probabilities and the gradient of the mean batch loss."""
         logp = _log_softmax(self.logits(X))
-        loss = -float(logp[np.arange(batch), y].mean())
         P = np.exp(logp)
-        P[np.arange(batch), y] -= 1.0
-        P /= batch
-        grad = np.concatenate([(P.T @ X).ravel(), P.sum(axis=0)])
-        return loss, grad
+        P.reshape(-1, self.classes)[_label_slots(y)] -= 1.0
+        P /= X.shape[-2]
+        grad = np.empty(self.theta.shape)
+        gW, gb = self._layers(grad)
+        np.matmul(P.swapaxes(-1, -2), X, out=gW)
+        np.sum(P, axis=-2, out=gb)
+        return logp, grad
 
 
-class TwoLayerMLP:
+class TwoLayerMLP(_FlatModel):
     """One ReLU hidden layer then softmax output, hand-written backprop.
 
     Layout: W1 (hidden x features), b1, W2 (classes x hidden), b2.
     """
 
     def __init__(self, features: int, classes: int, hidden: int = 64,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, theta: np.ndarray | None = None):
         if features < 1 or classes < 2 or hidden < 1:
             raise ValueError("bad layer sizes")
         self.features = features
         self.classes = classes
         self.hidden = hidden
-        self.theta = np.zeros(hidden * features + hidden + classes * hidden + classes)
+        self._bind(theta, hidden * features + hidden + classes * hidden + classes)
         self.W1, self.b1, self.W2, self.b2 = self._layers(self.theta)
         if rng is not None:
             self.W1[:] = rng.normal(0.0, np.sqrt(2.0 / features), self.W1.shape)
             self.W2[:] = rng.normal(0.0, np.sqrt(2.0 / hidden), self.W2.shape)
 
+    def on(self, theta: np.ndarray) -> "TwoLayerMLP":
+        """The same model over another parameter buffer, not copied."""
+        return TwoLayerMLP(self.features, self.classes, self.hidden, theta=theta)
+
     def _layers(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """W1, b1, W2, b2 as views into a flat vector of this layout."""
+        """W1, b1, W2, b2 as views into a flat buffer of this layout."""
+        lead = flat.shape[:-1]
         n1 = self.hidden * self.features
         n2 = self.classes * self.hidden
-        return (flat[:n1].reshape(self.hidden, self.features),
-                flat[n1 : n1 + self.hidden],
-                flat[n1 + self.hidden : n1 + self.hidden + n2].reshape(self.classes, self.hidden),
-                flat[n1 + self.hidden + n2 :])
-
-    @property
-    def param_count(self) -> int:
-        return self.theta.size
-
-    def get_flat(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.theta.shape:
-            raise ValueError("flat vector length does not match model")
-        self.theta[:] = flat
+        return (flat[..., :n1].reshape(lead + (self.hidden, self.features)),
+                flat[..., n1 : n1 + self.hidden],
+                flat[..., n1 + self.hidden : n1 + self.hidden + n2].reshape(
+                    lead + (self.classes, self.hidden)),
+                flat[..., n1 + self.hidden + n2 :])
 
     def _hidden(self, X: np.ndarray) -> np.ndarray:
         # In place on the one (batch, hidden) product; same bits as
         # np.maximum(X @ W1.T + b1, 0.0).
-        h = X @ self.W1.T
-        h += self.b1
+        h = np.matmul(X, self.W1.swapaxes(-1, -2))
+        h += self.b1[..., None, :]
         np.maximum(h, 0.0, out=h)
         return h
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._hidden(X) @ self.W2.T + self.b2
+        z = np.matmul(self._hidden(X), self.W2.swapaxes(-1, -2))
+        z += self.b2[..., None, :]
+        return z
 
-    def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        batch = X.shape[0]
+    def logp_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-probabilities and the gradient of the mean batch loss."""
         h = self._hidden(X)
-        logp = _log_softmax(h @ self.W2.T + self.b2)
-        loss = -float(logp[np.arange(batch), y].mean())
+        z = np.matmul(h, self.W2.swapaxes(-1, -2))
+        z += self.b2[..., None, :]
+        logp = _log_softmax(z)
         dz = np.exp(logp)
-        dz[np.arange(batch), y] -= 1.0
-        dz /= batch
-        grad = np.empty_like(self.theta)
+        dz.reshape(-1, self.classes)[_label_slots(y)] -= 1.0
+        dz /= X.shape[-2]
+        grad = np.empty(self.theta.shape)
         gW1, gb1, gW2, gb2 = self._layers(grad)
-        np.matmul(dz.T, h, out=gW2)
-        np.sum(dz, axis=0, out=gb2)
-        dh = dz @ self.W2
+        np.matmul(dz.swapaxes(-1, -2), h, out=gW2)
+        np.sum(dz, axis=-2, out=gb2)
+        dh = np.matmul(dz, self.W2)
         # Zero dh where the pre-activation was <= 0, which is where h <= 0
         # (NaN in neither). ANDing each entry's bits with all zeros or all
         # ones stores the same bits as a masked assignment, without its
@@ -166,9 +213,9 @@ class TwoLayerMLP:
         keep -= 1
         bits = dh.view(np.uint64)
         bits &= keep
-        np.matmul(dh.T, X, out=gW1)
-        np.sum(dh, axis=0, out=gb1)
-        return loss, grad
+        np.matmul(dh.swapaxes(-1, -2), X, out=gW1)
+        np.sum(dh, axis=-2, out=gb1)
+        return logp, grad
 
 
 def make_model(kind: str, features: int, classes: int, hidden: int = 64,
@@ -181,30 +228,51 @@ def make_model(kind: str, features: int, classes: int, hidden: int = 64,
     raise ValueError("unknown model kind %r" % kind)
 
 
-def local_sgd(model, X: np.ndarray, y: np.ndarray, cfg: SGDConfig,
-              rng: np.random.Generator) -> float:
-    """Run tau mini-batch SGD steps in place; returns the last batch loss.
+def local_sgd(model, X: np.ndarray, y: np.ndarray, counts, cfg: SGDConfig, rngs) -> np.ndarray:
+    """Run tau mini-batch SGD steps in place on a stack of nodes; returns
+    each node's loss on its last batch.
 
-    Batches are drawn without replacement when the local set is big enough,
-    with replacement otherwise.
+    Row g of ``model.theta`` (G, P) is node g's parameters, ``X`` and ``y``
+    hold the nodes' local samples back to back, ``counts[g]`` of them for
+    node g, and node g draws its batches from ``rngs[g]``: without
+    replacement when it holds at least a batch, with replacement otherwise.
+    Each step gathers every node's batch at once and makes one forward and
+    backward pass over the stack; one node is the stack of one.
     """
-    if X.shape[0] == 0:
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 1).any():
         raise ValueError("node has no local data")
-    loss = 0.0
-    replace = cfg.batch_size > X.shape[0]
+    starts = (np.cumsum(counts) - counts)[:, None]
+    batch = cfg.batch_size
+    idx = np.empty((counts.size, batch), dtype=np.int64)
     for _ in range(cfg.tau):
-        idx = rng.choice(X.shape[0], size=cfg.batch_size, replace=replace)
-        loss, grad = model.loss_and_grad(X[idx], y[idx])
+        for g, (m, rng) in enumerate(zip(counts.tolist(), rngs)):
+            if batch > m:
+                # The same draws as rng.choice(m, batch, replace=True), and
+                # the same generator state after them.
+                idx[g] = rng.integers(0, m, size=batch, dtype=np.int64)
+            else:
+                idx[g] = rng.choice(m, size=batch, replace=False)
+        idx += starts
+        yb = y[idx]
+        logp, grad = model.logp_and_grad(X[idx], yb)
         grad *= cfg.eta
         model.theta -= grad
-    return loss
+        # Free the gradient before the next step allocates its temporaries.
+        # Held over, it can push them above itself on the heap, which the
+        # allocator then hands back to the OS at the end of the step, so that
+        # every step faults the memory in again: training one 60,426-parameter
+        # node over and over took 110 minor faults a step that way, a third of
+        # the step's time.
+        del grad
+    return _nll(logp, yb)
 
 
 def evaluate(model, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Mean cross-entropy (natural log) and accuracy on a held-out set."""
     logp = _log_softmax(model.logits(X))
-    loss = -float(logp[np.arange(X.shape[0]), y].mean())
-    acc = float((logp.argmax(axis=1) == y).mean())
+    loss = float(_nll(logp, y))
+    acc = float((logp.argmax(axis=-1) == y).mean())
     return loss, acc
 
 

@@ -3,10 +3,11 @@
 A round has two phases so that every node trains and builds its outgoing
 message before anyone averages:
 
-* ``prepare_round`` runs tau local SGD steps, selects what to share, and
-  returns the outgoing update.
-* ``finalize_round`` takes the inbox of neighbor updates, averages in the
-  shared domain and writes the averaged parameters back into the model.
+* ``prepare_round`` takes a group of consecutive nodes (``NodeGroup``),
+  runs tau local SGD steps for all of them as one stack, then selects what
+  each member shares and returns the members' outgoing updates.
+* ``finalize_round`` takes one node's inbox of neighbor updates, averages in
+  the shared domain and writes the averaged parameters back into the model.
 
 Four algorithms share this skeleton: the wavelet protocol, full sharing,
 seeded random sampling in parameter space, and a memory-efficient Choco-SGD
@@ -139,15 +140,47 @@ class NodeState:
         self._pending = None
 
 
-def prepare_round(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
-    """Phase one: local training plus building the outgoing update.
+@dataclass(eq=False)
+class NodeGroup:
+    """Consecutive nodes that train as one stack.
+
+    Row g of ``model.theta`` is ``states[g].model.theta``, and ``X``/``y``
+    hold the members' local samples back to back, in member order.
+    """
+
+    states: list
+    model: object
+    X: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def single(cls, state: NodeState) -> "NodeGroup":
+        """The group of one node, over its own parameters and data."""
+        return cls([state], state.model.on(state.model.theta[None]), state.X, state.y)
+
+    def train(self, sgd: SGDConfig) -> np.ndarray:
+        """Local SGD for every member at once; each draws its batches from
+        its own ``rng_data``. Returns each member's last batch loss."""
+        return local_sgd(self.model, self.X, self.y, [s.X.shape[0] for s in self.states],
+                         sgd, [s.rng_data for s in self.states])
+
+
+def prepare_round(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[SparseUpdate]:
+    """Phase one for a group: local training, then each member's outgoing
+    update, in member order.
 
     The post-training parameters x_tau are kept as the model's own vector,
     not a copy: nothing writes the model until ``finalize_round`` sets x_next.
     """
-    if state.algo == Algo.JWINS and (state.ref is None or not cfg.ablations.accumulation_on):
-        state.ref = dwt(state.model.theta, state.levels)
-    local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
+    for state in group.states:
+        if state.algo == Algo.JWINS and (state.ref is None or not cfg.ablations.accumulation_on):
+            state.ref = dwt(state.model.theta, state.levels)
+    group.train(cfg.sgd)
+    return [_outgoing(state, round_no, cfg) for state in group.states]
+
+
+def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
+    """Select what a trained node shares and build its update."""
     x_tau = state.model.theta
 
     if state.algo == Algo.JWINS:

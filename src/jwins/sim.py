@@ -6,11 +6,18 @@ then all nodes finalize (average the updates that reached them). Every
 update crosses a real serialize/deserialize boundary, so traffic accounting
 is byte-exact and the codec is exercised on every message.
 
-With ``workers`` above 1 a thread pool runs each phase's per-node work, the
-decoding of each round's messages and the evaluations; numpy and BLAS
-release the GIL, so wide models use more than one CPU. Left unset, the
-worker count comes from the machine, the model and the algorithm
-(``pool_size``).
+Every node's parameters are one row of a single (n, P) matrix, and the
+prepare phase works on groups of consecutive nodes: each group trains as
+one stack (``node.NodeGroup``). Small models are grouped up to about
+``POOL_MIN_PARAMS`` parameters a group, so many small nodes cost a few
+stacked steps instead of one short call each; a model of that size or more
+is a group of its own.
+
+With ``workers`` above 1 a thread pool maps the prepare phase's groups, the
+decoding of each round's messages, the per-node finalize work and the
+evaluations; numpy and BLAS release the GIL, so wide models use more than
+one CPU. Left unset, the worker count comes from the machine, the model and
+the algorithm (``pool_size``).
 
 Determinism: the run seed fans out through named SeedSequence spawns (model
 init, partition, data, topology, and three per-node streams), so a config
@@ -42,7 +49,6 @@ from .learner import (
     SGDConfig,
     evaluate,
     load_idx,
-    local_sgd,
     make_model,
     shard_partition,
     synth_blobs,
@@ -50,6 +56,7 @@ from .learner import (
 from .node import (
     Ablations,
     Algo,
+    NodeGroup,
     NodeState,
     ProtocolConfig,
     finalize_round,
@@ -78,7 +85,8 @@ _TAG_NODE_MISC = 7
 
 # Parameter count from which an unset ``workers`` uses every usable CPU. Below
 # it a node's share of a round is too short to win back the pool's hand-offs
-# (README has the measured break-even table).
+# (README has the measured break-even table). It also sizes the training
+# groups: ``max(1, POOL_MIN_PARAMS // P)`` nodes of P parameters each.
 POOL_MIN_PARAMS = 2**15
 
 
@@ -285,19 +293,29 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("choco does not support a dynamic topology")
     if cfg.model.kind not in ("logreg", "mlp"):
         raise ConfigError("unknown model kind %r" % cfg.model.kind)
+    if cfg.model.kind == "mlp" and cfg.model.hidden < 1:
+        raise ConfigError("model.hidden must be positive")
+    if cfg.partition.shards_per_node < 1:
+        raise ConfigError("partition.shards_per_node must be positive")
     if cfg.data.kind not in ("synthetic", "idx"):
         raise ConfigError("unknown data kind %r" % cfg.data.kind)
     if cfg.data.kind == "idx":
         for attr in ("train_images", "train_labels", "test_images", "test_labels"):
             if getattr(cfg.data, attr) is None:
                 raise ConfigError("idx data needs %s" % attr)
-    elif cfg.n > 1:
+    else:
+        d = cfg.data
+        if d.classes < 2:
+            raise ConfigError("synthetic data needs at least 2 classes")
+        for attr in ("dims", "per_class", "test_per_class"):
+            if getattr(d, attr) < 1:
+                raise ConfigError("data.%s must be positive" % attr)
         # An idx file's sample count is known only once loaded, so for idx
         # data ``shard_partition`` makes this check in ``build_runtime``.
         shards = cfg.n * cfg.partition.shards_per_node
-        if cfg.data.classes * cfg.data.per_class < shards:
+        if cfg.n > 1 and d.classes * d.per_class < shards:
             raise ConfigError("synthetic data has %d training samples, too few to cut %d shards"
-                              % (cfg.data.classes * cfg.data.per_class, shards))
+                              % (d.classes * d.per_class, shards))
     try:
         _protocol_config(cfg)
     except ValueError as exc:
@@ -364,6 +382,7 @@ class Runtime:
     train: Dataset
     test: Dataset
     states: list
+    groups: list
     topology: Topology
     topo_seed: int
 
@@ -377,23 +396,35 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     init_rng = np.random.default_rng(seed_sequence(cfg.seed, _TAG_MODEL))
     reference = make_model(mcfg.kind, features, classes, hidden=mcfg.hidden,
                            rng=init_rng, init_scale=mcfg.init_scale)
-    flat0 = reference.get_flat()
     if cfg.n == 1:
         parts = [np.arange(train.labels.size)]
     else:
         parts = shard_partition(train.labels, cfg.n, cfg.partition.shards_per_node,
                                 derived_seed(cfg.seed, _TAG_PARTITION))
-    states = []
-    for i in range(cfg.n):
-        model = make_model(mcfg.kind, features, classes, hidden=mcfg.hidden, rng=None)
-        model.set_flat(flat0)
-        states.append(NodeState(
-            i, model, pcfg,
-            train.features[parts[i]], train.labels[parts[i]],
+    # One parameter row per node, and every node's samples back to back in
+    # node order, so that consecutive nodes' rows and samples are contiguous.
+    params = np.empty((cfg.n, reference.param_count))
+    params[:] = reference.theta
+    order = np.concatenate(parts)
+    X = train.features[order]
+    y = train.labels[order]
+    bounds = np.cumsum([0] + [p.size for p in parts]).tolist()
+    states = [
+        NodeState(
+            i, reference.on(params[i]), pcfg,
+            X[bounds[i] : bounds[i + 1]], y[bounds[i] : bounds[i + 1]],
             rng_data=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_DATA, i)),
             rng_alpha=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_ALPHA, i)),
             rng_misc=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_MISC, i)),
-        ))
+        )
+        for i in range(cfg.n)
+    ]
+    size = max(1, POOL_MIN_PARAMS // reference.param_count)
+    groups = []
+    for a in range(0, cfg.n, size):
+        b = min(a + size, cfg.n)
+        groups.append(NodeGroup(states[a:b], reference.on(params[a:b]),
+                                X[bounds[a] : bounds[b]], y[bounds[a] : bounds[b]]))
     topo_seed = cfg.topology.seed
     if topo_seed is None:
         topo_seed = derived_seed(cfg.seed, _TAG_TOPOLOGY)
@@ -401,7 +432,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         topology = Topology(1, 0, (np.empty(0, dtype=np.int64),), topo_seed)
     else:
         topology = generate_regular(cfg.n, cfg.topology.d, topo_seed)
-    return Runtime(cfg, pcfg, train, test, states, topology, topo_seed)
+    return Runtime(cfg, pcfg, train, test, states, groups, topology, topo_seed)
 
 
 def pool_size(workers: int | None, n: int, param_count: int, algo: str) -> int:
@@ -471,7 +502,9 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             if cfg.topology.dynamic and n > 1:
                 topology = reshuffle(topology, t, rt.topo_seed)
                 weights = metropolis_hastings(topology)
-            outgoing = pool_map(lambda s: prepare_round(s, t, rt.pcfg), states)
+            outgoing = [u for updates in pool_map(lambda g: prepare_round(g, t, rt.pcfg),
+                                                   rt.groups)
+                        for u in updates]
             blobs = [codec.serialize(u) for u in outgoing]
             if dump_fh is not None:
                 codec.write_message_dump(dump_fh, blobs)
@@ -584,7 +617,7 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     cum_r = 0.0
     rows = []
     for t in range(cfg.rounds):
-        local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
+        rt.groups[0].train(cfg.sgd)
         x = state.model.get_flat()
         select_drift(dwt(x, levels), recon_coeffs, budget)
         approx = idwt(recon_coeffs, plen, levels)

@@ -19,8 +19,9 @@ import pytest
 
 from jwins import codec
 from jwins.graph import generate_regular, metropolis_hastings
-from jwins.learner import SGDConfig, local_sgd, make_model, synth_blobs
-from jwins.node import Algo, NodeState, ProtocolConfig, finalize_round, prepare_round
+from jwins.learner import SGDConfig, make_model, synth_blobs
+from jwins.node import (Algo, NodeGroup, NodeState, ProtocolConfig, finalize_round,
+                        prepare_round)
 from jwins.sim import (
     ConfigError,
     build_runtime,
@@ -240,7 +241,7 @@ def test_criterion_08_choco_sanity():
     exact = True
     for ref, got in zip(rt.states, states):
         for _ in range(cfg.rounds):
-            local_sgd(ref.model, ref.X, ref.y, cfg.sgd, ref.rng_data)
+            NodeGroup.single(ref).train(cfg.sgd)
         exact &= bool(np.array_equal(got.model.get_flat(), ref.model.get_flat()))
 
     # gamma = 1 with the identity compressor, no training, constant vectors:
@@ -258,7 +259,7 @@ def test_criterion_08_choco_sanity():
                                np.random.default_rng([8, i, 1]),
                                np.random.default_rng([8, i, 2])))
     for t in range(200):
-        ups = [prepare_round(s, t, pcfg) for s in nodes]
+        ups = [u for s in nodes for u in prepare_round(NodeGroup.single(s), t, pcfg)]
         for s in nodes:
             finalize_round(s, [ups[j] for j in W.neighbors[s.node_id]],
                            W, t, pcfg)

@@ -51,23 +51,35 @@ def _reference_logits(model, X):
 
 
 def _reference_loss_and_grad(model, X, y):
-    """Out-of-place MLP backprop with a boolean-mask ReLU gradient and a
-    concatenated gradient: the oracle of ``TwoLayerMLP.loss_and_grad``."""
+    """Out-of-place backprop of one node's batch, with a boolean-mask ReLU
+    gradient and a concatenated gradient: the oracle of ``loss_and_grad``
+    for both models."""
     batch = X.shape[0]
-    pre = X @ model.W1.T + model.b1
-    h = np.maximum(pre, 0.0)
-    z = h @ model.W2.T + model.b2
+    mlp = isinstance(model, TwoLayerMLP)
+    if mlp:
+        pre = X @ model.W1.T + model.b1
+        h = np.maximum(pre, 0.0)
+        z = h @ model.W2.T + model.b2
+    else:
+        z = X @ model.W.T + model.b
     logp = z - z.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
     loss = -float(logp[np.arange(batch), y].mean())
     dz = np.exp(logp)
     dz[np.arange(batch), y] -= 1.0
     dz /= batch
+    if not mlp:
+        return loss, np.concatenate([(dz.T @ X).ravel(), dz.sum(axis=0)])
     dh = dz @ model.W2
     dh[pre <= 0.0] = 0.0
     grad = np.concatenate([(dh.T @ X).ravel(), dh.sum(axis=0),
                            (dz.T @ h).ravel(), dz.sum(axis=0)])
     return loss, grad
+
+
+def _sgd_one(model, X, y, cfg, rng):
+    """Local SGD on one node, as the stack of one."""
+    return local_sgd(model.on(model.theta[None]), X, y, [X.shape[0]], cfg, [rng])
 
 
 def _edge_case_mlp(seed):
@@ -113,12 +125,60 @@ class TestInPlaceOracle:
         ref = TwoLayerMLP(6, 3, hidden=16)
         ref.set_flat(model.get_flat())
         cfg = SGDConfig(eta=0.3, tau=4, batch_size=5)
-        local_sgd(model, X, y, cfg, np.random.default_rng(9))
+        _sgd_one(model, X, y, cfg, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         for _ in range(cfg.tau):
             idx = rng.choice(X.shape[0], size=cfg.batch_size, replace=False)
             ref.theta -= cfg.eta * _reference_loss_and_grad(ref, X[idx], y[idx])[1]
         np.testing.assert_array_equal(_bits(model.theta), _bits(ref.theta))
+
+
+class TestStackedSGD:
+    """A stack of nodes trained with one forward and backward pass per step
+    keeps every bit of a per-node loop over the out-of-place oracle."""
+
+    # Per-node sample counts against batch 8: fewer (drawn with replacement),
+    # as many, and more (without replacement).
+    COUNTS = [5, 12, 8, 1, 20]
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_rows_match_per_node_oracle(self, kind, rows):
+        rng = np.random.default_rng(rows)
+        counts = self.COUNTS[:rows]
+        arch = make_model(kind, 6, 3, hidden=16)
+        theta0 = rng.normal(0.0, 0.5, (rows, arch.param_count))
+        X = rng.normal(size=(sum(counts), 6))
+        y = rng.integers(0, 3, sum(counts))
+        cfg = SGDConfig(eta=0.3, tau=3, batch_size=8)
+        stack = arch.on(theta0.copy())
+        losses = local_sgd(stack, X, y, counts, cfg,
+                           [np.random.default_rng([rows, g]) for g in range(rows)])
+        assert losses.shape == (rows,)
+        start = 0
+        for g, m in enumerate(counts):
+            Xg, yg = X[start : start + m], y[start : start + m]
+            start += m
+            ref = make_model(kind, 6, 3, hidden=16)
+            ref.set_flat(theta0[g])
+            node_rng = np.random.default_rng([rows, g])
+            for _ in range(cfg.tau):
+                idx = node_rng.choice(m, size=cfg.batch_size, replace=cfg.batch_size > m)
+                loss, grad = _reference_loss_and_grad(ref, Xg[idx], yg[idx])
+                ref.theta -= cfg.eta * grad
+            np.testing.assert_array_equal(_bits(stack.theta[g]), _bits(ref.theta))
+            assert _bits(losses[g]) == _bits(loss)
+
+    @pytest.mark.parametrize("m", [1, 5, 16, 63])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_replacement_draws_equal_choice(self, m, batch):
+        """``local_sgd`` draws with-replacement batches with ``integers``:
+        the values ``choice`` gives and the generator state after them."""
+        a = np.random.default_rng([m, batch])
+        b = np.random.default_rng([m, batch])
+        np.testing.assert_array_equal(a.choice(m, size=batch, replace=True),
+                                      b.integers(0, m, size=batch, dtype=np.int64))
+        assert a.random() == b.random()
 
 
 class TestModels:
@@ -182,8 +242,8 @@ class TestLocalSGD:
         model = make_model("logreg", 4, 2, rng=np.random.default_rng(4))
         before = model.get_flat()
         data = synth_blobs(2, 4, 20, seed=5)
-        local_sgd(model, data.features, data.labels, SGDConfig(eta=0.0, tau=5),
-                  np.random.default_rng(6))
+        _sgd_one(model, data.features, data.labels, SGDConfig(eta=0.0, tau=5),
+                 np.random.default_rng(6))
         np.testing.assert_array_equal(model.get_flat(), before)
 
     def test_one_full_batch_step_matches_hand_gradient(self):
@@ -195,8 +255,8 @@ class TestLocalSGD:
         x0 = model.get_flat()
         _, grad = model.loss_and_grad(X, y)
         model.set_flat(x0)
-        local_sgd(model, X, y, SGDConfig(eta=0.1, tau=1, batch_size=6),
-                  np.random.default_rng(8))
+        _sgd_one(model, X, y, SGDConfig(eta=0.1, tau=1, batch_size=6),
+                 np.random.default_rng(8))
         np.testing.assert_allclose(model.get_flat(), x0 - 0.1 * grad, atol=1e-12)
 
     def test_deterministic_given_stream(self):
@@ -204,9 +264,9 @@ class TestLocalSGD:
         outs = []
         for _ in range(2):
             model = make_model("logreg", 5, 3, rng=np.random.default_rng(10))
-            local_sgd(model, data.features, data.labels,
-                      SGDConfig(eta=0.05, tau=7, batch_size=4),
-                      np.random.default_rng(11))
+            _sgd_one(model, data.features, data.labels,
+                     SGDConfig(eta=0.05, tau=7, batch_size=4),
+                     np.random.default_rng(11))
             outs.append(model.get_flat())
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -218,9 +278,9 @@ class TestLocalSGD:
             model = make_model("logreg", 6, 3, rng=np.random.default_rng(seed))
             before, _ = model.loss_and_grad(data.features, data.labels)
             for _ in range(100):
-                local_sgd(model, data.features, data.labels,
-                          SGDConfig(eta=0.1, tau=1, batch_size=90),
-                          np.random.default_rng(seed))
+                _sgd_one(model, data.features, data.labels,
+                         SGDConfig(eta=0.1, tau=1, batch_size=90),
+                         np.random.default_rng(seed))
             after, _ = model.loss_and_grad(data.features, data.labels)
             wins += after < before
         assert wins >= 19
@@ -228,8 +288,13 @@ class TestLocalSGD:
     def test_empty_partition_rejected(self):
         model = make_model("logreg", 4, 2)
         with pytest.raises(ValueError, match="no local data"):
-            local_sgd(model, np.empty((0, 4)), np.empty(0, dtype=np.int64),
-                      SGDConfig(), np.random.default_rng(0))
+            _sgd_one(model, np.empty((0, 4)), np.empty(0, dtype=np.int64),
+                     SGDConfig(), np.random.default_rng(0))
+        # An empty member of a stack is rejected too.
+        stack = model.on(np.zeros((2, model.param_count)))
+        with pytest.raises(ValueError, match="no local data"):
+            local_sgd(stack, np.zeros((3, 4)), np.zeros(3, dtype=np.int64), [3, 0],
+                      SGDConfig(), [np.random.default_rng(0), np.random.default_rng(1)])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,10 +11,11 @@ import pytest
 
 from jwins import codec
 from jwins.graph import generate_regular, metropolis_hastings
-from jwins.learner import SGDConfig, local_sgd, make_model, synth_blobs
+from jwins.learner import SGDConfig, make_model, synth_blobs
 from jwins.node import (
     Ablations,
     Algo,
+    NodeGroup,
     NodeState,
     ProtocolConfig,
     finalize_round,
@@ -52,9 +53,15 @@ def _make_state(node_id, cfg, num_features=4, classes=2, samples=12,
     )
 
 
+def _prepare(state, round_no, cfg):
+    """Phase one for one node, as the group of one."""
+    [update] = prepare_round(NodeGroup.single(state), round_no, cfg)
+    return update
+
+
 def _sync_round(states, weights, round_no, cfg):
     """Drive one barrier-synchronized round over already-built states."""
-    updates = [prepare_round(s, round_no, cfg) for s in states]
+    updates = [_prepare(s, round_no, cfg) for s in states]
     outcomes = []
     for s in states:
         inbox = [updates[j] for j in weights.neighbors[s.node_id]]
@@ -247,7 +254,7 @@ class TestRandomSampling:
                              sgd=SGDConfig(eta=0.0, tau=1))
         state = _make_state(0, cfg, num_features=999, classes=10, samples=2)
         assert state.model.param_count == 10000
-        update = prepare_round(state, 0, cfg)
+        update = _prepare(state, 0, cfg)
         assert update.k == 3700
         assert update.byte_size == 14821
         assert update.meta_bytes == 8
@@ -262,7 +269,7 @@ class TestRandomSampling:
         b = np.arange(20.0) + 100.0
         states = [_make_state(0, cfg, num_features=9, init=a),
                   _make_state(1, cfg, num_features=9, init=b)]
-        updates = [prepare_round(s, 0, cfg) for s in states]
+        updates = [_prepare(s, 0, cfg) for s in states]
         finalize_round(states[0], [updates[1]], W, 0, cfg)
         idx = random_indices(20, selection_size(0.3, 20), updates[1].seed)
         want = a.copy()
@@ -289,7 +296,7 @@ class TestJwinsRound:
     def test_outbound_shape_and_bytes(self):
         cfg = ProtocolConfig(**self.CFG)
         state = _make_state(0, cfg)
-        update = prepare_round(state, 3, cfg)
+        update = _prepare(state, 3, cfg)
         assert update.kind == codec.UpdateKind.JWINS_INDICES
         sizes = {selection_size(a, state.coeff_len) for a in cfg.alpha.support}
         assert update.k in sizes
@@ -316,7 +323,7 @@ class TestJwinsRound:
         W = _pair_weights()
         state = _make_state(0, cfg)
         x0 = state.model.get_flat()
-        update = prepare_round(state, 0, cfg)
+        update = _prepare(state, 0, cfg)
         x_tau = state.model.get_flat()
         finalize_round(state, [], W, 0, cfg)
         np.testing.assert_array_equal(state.model.get_flat(), x_tau)
@@ -337,7 +344,7 @@ class TestJwinsRound:
         s = states[0]
         x_start = s.model.get_flat()
         pre_drift = dwt(x_start, s.levels) - s.ref
-        updates = [prepare_round(st, 1, cfg) for st in states]
+        updates = [_prepare(st, 1, cfg) for st in states]
         x_tau = s.model.get_flat()
         finalize_round(s, [updates[1]], W, 1, cfg)
         x_next = s.model.get_flat()
@@ -375,7 +382,7 @@ class TestJwinsRound:
         init = np.zeros(10)
         init[4] = 7.0
         state = _make_state(0, cfg, init=init)
-        update = prepare_round(state, 0, cfg)
+        update = _prepare(state, 0, cfg)
         assert state.coeff_len == state.model.param_count
         # eta=0 means the only nonzero score slot is... none (no movement),
         # but the shared values are the raw parameters at the chosen slots.
@@ -387,7 +394,7 @@ class TestJwinsRound:
         cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.01, tau=1),
                              ablations=Ablations(metadata_compression_on=False))
         state = _make_state(0, cfg)
-        update = prepare_round(state, 0, cfg)
+        update = _prepare(state, 0, cfg)
         assert update.kind == codec.UpdateKind.RAW_INDICES
         assert update.meta_bytes == 4 * update.k
 
@@ -439,7 +446,7 @@ class TestDriftMatchesAccumulatedScores:
         assert states[0].levels == (4 if wavelet_on else 0)
         for r in range(8):
             before = [s.model.get_flat() for s in states]
-            updates = [prepare_round(s, r, cfg) for s in states]
+            updates = [_prepare(s, r, cfg) for s in states]
             x_tau = [s.model.get_flat() for s in states]
             for s, o, u, x0, x1 in zip(states, oracles, updates, before, x_tau):
                 o.add_training(x0, x1)
@@ -465,7 +472,7 @@ class TestInboxValidation:
 
     def test_wrong_round_rejected(self):
         cfg, W, states = self._jwins_pair()
-        prepare_round(states[0], 5, cfg)
+        _prepare(states[0], 5, cfg)
         stale = codec.make_indexed_update(4, 1, np.array([0]),
                                           np.array([9.0], dtype=np.float32))
         x_tau = states[0].model.get_flat()
@@ -475,7 +482,7 @@ class TestInboxValidation:
 
     def test_non_neighbor_rejected(self):
         cfg, W, states = self._jwins_pair()
-        prepare_round(states[0], 0, cfg)
+        _prepare(states[0], 0, cfg)
         alien = codec.make_indexed_update(0, 7, np.array([0]),
                                           np.array([9.0], dtype=np.float32))
         oc = finalize_round(states[0], [alien], W, 0, cfg)
@@ -483,7 +490,7 @@ class TestInboxValidation:
 
     def test_out_of_range_indices_rejected(self):
         cfg, W, states = self._jwins_pair()
-        prepare_round(states[0], 0, cfg)
+        _prepare(states[0], 0, cfg)
         bad = codec.make_indexed_update(0, 1, np.array([10_000]),
                                         np.array([9.0], dtype=np.float32))
         oc = finalize_round(states[0], [bad], W, 0, cfg)
@@ -495,7 +502,7 @@ class TestInboxValidation:
         cfg = ProtocolConfig(algo=Algo.RANDOM, sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         state = _make_state(0, cfg, init=np.zeros(10))
-        prepare_round(state, 0, cfg)
+        _prepare(state, 0, cfg)
         long = codec.deserialize(codec.serialize(codec.make_seed_update(
             0, 1, 42, np.ones(11, dtype=np.float32))))
         codec.regenerate_indices(long, state.coeff_len)
@@ -506,7 +513,7 @@ class TestInboxValidation:
 
     def test_duplicate_sender_raises(self):
         cfg, W, states = self._jwins_pair()
-        prepare_round(states[0], 0, cfg)
+        _prepare(states[0], 0, cfg)
         u = codec.make_indexed_update(0, 1, np.array([0]),
                                       np.array([1.0], dtype=np.float32))
         with pytest.raises(ValueError, match="duplicate sender"):
@@ -525,16 +532,13 @@ class TestChoco:
                              sgd=SGDConfig(eta=0.05, tau=3, batch_size=4))
         W = _pair_weights()
         states = [_make_state(i, cfg, data_seed=60) for i in range(2)]
-        refs = []
-        for i in range(2):
-            st = _make_state(i, cfg, data_seed=60)
-            refs.append((st.model, st.X, st.y, np.random.default_rng([60, i, 0])))
+        refs = [_make_state(i, cfg, data_seed=60) for i in range(2)]
         for r in range(4):
             _sync_round(states, W, r, cfg)
-            for model, X, y, rng in refs:
-                local_sgd(model, X, y, cfg.sgd, rng)
-        for s, (model, _, _, _) in zip(states, refs):
-            np.testing.assert_array_equal(s.model.get_flat(), model.get_flat())
+            for ref in refs:
+                NodeGroup.single(ref).train(cfg.sgd)
+        for s, ref in zip(states, refs):
+            np.testing.assert_array_equal(s.model.get_flat(), ref.model.get_flat())
 
     def test_full_quantizer_consensus(self):
         """alpha=1 with eta=0 contracts geometrically at rate 1 - gamma."""
@@ -568,7 +572,7 @@ class TestChoco:
         cfg = ProtocolConfig(algo=Algo.CHOCO, choco_alpha=0.2,
                              sgd=SGDConfig(eta=0.05, tau=1))
         state = _make_state(0, cfg)
-        update = prepare_round(state, 0, cfg)
+        update = _prepare(state, 0, cfg)
         assert update.kind == codec.UpdateKind.JWINS_INDICES
         assert update.k == selection_size(0.2, state.model.param_count)
 

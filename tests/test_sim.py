@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from jwins import cli, codec, sim
-from jwins.learner import local_sgd
 from jwins.sparsify import random_indices, selection_size, top_indices
 from jwins.sim import (
     METRICS_HEADER,
@@ -101,6 +100,21 @@ class TestConfig:
             config_from_dict(raw)
         raw["data"]["per_class"] = 6
         assert config_from_dict(raw).data.per_class == 6
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"partition": {"shards_per_node": 0}}, "shards_per_node must be positive"),
+        ({"partition": {"shards_per_node": -1}}, "shards_per_node must be positive"),
+        ({"data": {"classes": 1}}, "at least 2 classes"),
+        ({"data": {"dims": 0}}, "data.dims must be positive"),
+        ({"data": {"per_class": 0}, "n": 1}, "data.per_class must be positive"),
+        ({"data": {"test_per_class": 0}}, "data.test_per_class must be positive"),
+        ({"model": {"kind": "mlp", "hidden": 0}}, "model.hidden must be positive"),
+    ])
+    def test_values_that_would_fail_at_run_time(self, raw, message):
+        # Each of these used to load and then fail (or, for an empty test
+        # set, write NaN loss and accuracy) only once the run started.
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
 
     def test_choco_rejects_dynamic_topology(self):
         with pytest.raises(ConfigError, match="dynamic"):
@@ -261,6 +275,20 @@ class TestRunDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert rows1 == rows3
+
+    @pytest.mark.parametrize("algo", ["jwins", "full", "random", "choco"])
+    def test_group_size_invariant(self, monkeypatch, algo):
+        """Training groups of 1, 2 and all 4 nodes write the same rows, also
+        with the pool mapping groups of 2."""
+        cfg = _tiny(algo=algo, model={"kind": "mlp", "hidden": 16}, sgd={"batch_size": 9})
+        params = sim.build_runtime(cfg).states[0].model.param_count
+        rows = {}
+        for size, workers in [(4, 1), (1, 1), (2, 1), (2, 3)]:
+            monkeypatch.setattr(sim, "POOL_MIN_PARAMS", size * params)
+            cfg.workers = workers
+            assert [len(g.states) for g in sim.build_runtime(cfg).groups] == [size] * (4 // size)
+            rows[size, workers] = run(cfg)
+        assert all(r == rows[4, 1] for r in rows.values())
 
     def test_seeded_indices_built_twice_per_message(self, monkeypatch):
         """The sender builds its set once, and the simulator once more for
@@ -496,14 +524,15 @@ class TestProbe:
         cfg = _tiny(n=1, rounds=5, ablations={"wavelet_on": False})
         rows = reconstruction_probe(cfg, 0.1)
         assert rows != reconstruction_probe(_tiny(n=1, rounds=5), 0.1)
-        state = sim.build_runtime(cfg).states[0]
+        rt = sim.build_runtime(cfg)
+        state = rt.states[0]
         x_prev = state.model.get_flat()
         recon_w, recon_r = x_prev.copy(), x_prev.copy()
         scores = np.zeros(x_prev.size)
         want = []
         cum_w = cum_r = 0.0
         for t in range(cfg.rounds):
-            local_sgd(state.model, state.X, state.y, cfg.sgd, state.rng_data)
+            rt.groups[0].train(cfg.sgd)
             x = state.model.get_flat()
             scores += x - x_prev
             idx = top_indices(scores, selection_size(0.1, x.size))
