@@ -26,7 +26,16 @@ bit. Codewords never overlap, so OR equals ADD: a word is the OR of the
 codewords that end in it, plus the high bits of at most one codeword that
 crosses its lower boundary (a gap has at most 63 bits). The decoder maps
 every bit position to the end of the codeword that would start there and
-follows that map by pointer doubling (``_scan_gamma``).
+follows that map by pointer doubling (``_scan_window``). It does so one
+window of ``_WINDOW_BITS`` stream bits at a time: a window decodes the
+codewords that end inside it, and the next starts at the following
+codeword, so decoding a message of any size allocates its gaps and indices
+plus one window's tables (``_scan_gamma``).
+
+Decoded values are a read-only float32 view into the message bytes, not a
+copy: a round holds each message's values once, in its wire bytes.
+``deserialize`` keeps a ``bytes`` message as it is and copies any other
+buffer once, so a caller that later reuses its buffer cannot change them.
 
 Decoder contract: any byte string either decodes to an update or raises
 CodecError, never another exception. A JWINS_INDICES index stream must end
@@ -259,12 +268,18 @@ def serialize(update: SparseUpdate) -> bytes:
     return head + update.index_payload + update.values.astype("<f4").tobytes()
 
 
-def deserialize(data: bytes) -> SparseUpdate:
+def deserialize(data) -> SparseUpdate:
     """Parse one message occupying the whole buffer.
+
+    The update's ``values`` are a read-only view into the message bytes: a
+    ``bytes`` message is not copied, and any other buffer is copied once, so
+    later writes to it do not reach the update.
 
     Rejects unknown kinds, short buffers ("truncated stream"), trailing bytes
     ("length overrun"), and index metadata that is not strictly increasing.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if len(data) < HEADER_LEN:
         raise CodecError("truncated stream")
     round_no, sender, kind_raw, k = HEADER.unpack_from(data, 0)
@@ -281,7 +296,7 @@ def deserialize(data: bytes) -> SparseUpdate:
         if len(data) < HEADER_LEN + (k + 7) // 8 + 4 * k:
             raise CodecError("truncated stream")
         # The index stream must end where the 4K value bytes begin.
-        gaps, body_at = _scan_gamma(data[: len(data) - 4 * k], HEADER_LEN, k)
+        gaps, body_at = _scan_gamma(memoryview(data)[: len(data) - 4 * k], HEADER_LEN, k)
         if gaps.size and int(gaps.max()) > 2**32:
             # A gap this large cannot occur between u32 indices; rejecting it
             # also keeps the cumulative sum below from wrapping around.
@@ -306,7 +321,7 @@ def deserialize(data: bytes) -> SparseUpdate:
         raise CodecError("truncated stream")
     if len(data) > end:
         raise CodecError("length overrun")
-    values = np.frombuffer(data, dtype="<f4", count=k, offset=body_at).copy()
+    values = np.frombuffer(data, dtype="<f4", count=k, offset=body_at)
     return SparseUpdate(round_no, sender, kind, values, indices=indices, seed=seed,
                         index_payload=data[HEADER_LEN:body_at])
 
@@ -329,18 +344,54 @@ _FIRST_ONE = _first_one_table()
 # End, relative to its byte, of a codeword that starts at offset o of byte v
 # and has its leading one in that byte: 2q - o + 1 for a leading one at q.
 _END_IN_BYTE = 2 * _FIRST_ONE - _OFFSETS + 1
-# Stride of the scalar walk over codeword starts; see _scan_gamma.
+# Stride of the scalar walk over codeword starts; see _scan_window.
 _CHAIN_STRIDE = 16
+# Stream bits one scan window covers; see _scan_gamma. A window's tables
+# take about 30 bytes a bit, so decode's transient stays near 0.5 MB for any
+# message. It must exceed 136 bits (see _scan_window). Timed on the 256
+# captured messages of a jwins-wide run (streams of up to 8 KB), 2**14 was
+# the fastest: 2**13 pays more per-window calls, and from 2**15 on the
+# tables of the densest messages outgrow the CPU cache; one window per
+# message (2**16 and up) was about 10% slower in total than 2**14.
+_WINDOW_BITS = 2**14
 
 
-def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
+def _scan_gamma(data, start: int, count: int) -> tuple[np.ndarray, int]:
     """Decode ``count`` codewords starting at byte ``start``.
 
     Returns the gaps and the byte offset just past the (padded) stream. The
-    scan is vectorized over bit positions: a codeword that starts at bit p
-    and has its leading one at bit q ends at 2q - p + 1, so one table maps
-    every bit position to the end of the codeword that would start there,
-    and each codeword's end is the next one's start. Pointer doubling
+    stream is decoded in windows of ``_WINDOW_BITS`` bits: each window
+    decodes the codewords that end inside it, and the next window starts at
+    the byte that holds the following codeword's first bit. So the scan's
+    tables are sized by the window, never by the message.
+    """
+    gaps = np.empty(count, dtype=np.uint64)
+    stream = np.frombuffer(data, dtype=np.uint8, offset=start)
+    done = 0
+    at = 0  # stream bit where codeword ``done`` starts
+    while done < count:
+        byte = at >> 3
+        raw = stream[byte : byte + _WINDOW_BITS // 8]
+        decoded, end = _scan_window(raw, at & 7, gaps[done:], byte + raw.size == stream.size)
+        done += decoded
+        at = 8 * byte + end
+    return gaps.view(np.int64), start + (at + 7) // 8
+
+
+def _scan_window(raw: np.ndarray, first: int, out: np.ndarray, final: bool) -> tuple[int, int]:
+    """Decode codewords from bit ``first`` of ``raw`` into ``out`` until it is
+    full or the next codeword does not end inside ``raw``.
+
+    Returns how many were decoded and the bit of ``raw`` where the next one
+    starts. The next codeword fails, and the call raises, when no stream
+    bits follow ``raw`` (``final``) or when it is the window's first: a
+    codeword that starts within 8 bits of a window's start and does not end
+    inside 136 or more bits has a zero run of 64.
+
+    The scan is vectorized over bit positions: a codeword that starts at
+    bit p and has its leading one at bit q ends at 2q - p + 1, so one table
+    maps every bit position to the end of the codeword that would start
+    there, and each codeword's end is the next one's start. Pointer doubling
     squares that table log2(_CHAIN_STRIDE) times, so one scalar step of the
     squared table goes _CHAIN_STRIDE codewords ahead; a walk of those steps
     finds every _CHAIN_STRIDE-th start, and _CHAIN_STRIDE - 1 vectorized
@@ -357,23 +408,18 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     schedule without the walk, which squares until at most 16 or 64 fill
     passes of growing stride are left.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.int64), start
-    # A codeword that decodes spans at most 125 bits, and whether the first
-    # failing one is truncated or corrupt shows within 127 bits of its start,
-    # so no bit past 127 * count is ever needed.
-    raw = np.frombuffer(data, dtype=np.uint8, offset=start)[: (127 * count + 7) // 8]
     nbytes = raw.size
     nbits = 8 * nbytes
     byte_at = np.arange(0, nbits + 1, 8, dtype=np.int64)
     # after[b]: the first one bit at or after byte b, nbits when there is none.
-    first = np.minimum(byte_at[:nbytes] + _FIRST_ONE[raw, 0], nbits)
-    after = np.append(np.minimum.accumulate(first[::-1])[::-1], nbits)
+    first_one = np.minimum(byte_at[:nbytes] + _FIRST_ONE[raw, 0], nbits)
+    after = np.append(np.minimum.accumulate(first_one[::-1])[::-1], nbits)
     # jump[p]: the end of the codeword starting at bit p. Its leading one is
     # in p's byte or at after[b + 1]; 2q - p + 1 grows with q, so the smaller
-    # candidate end is the true one. Ends past the stream land in the
+    # candidate end is the true one. Ends past the window land in the
     # sentinel slots [nbits, nbits + 8], which all hold nbits + 1; so does a
-    # start at nbits, where no bit is left.
+    # start at nbits, where no bit is left. So once one codeword ends past
+    # the window, every later bound is past it too.
     jump = np.empty(nbits + 9, dtype=np.int64)
     table = jump[:nbits].reshape(nbytes, 8)
     np.take(_END_IN_BYTE, raw, axis=0, out=table)
@@ -381,33 +427,44 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     far = np.minimum(2 * after[1:] - byte_at[:nbytes] + 1, nbits + 8)
     np.minimum(table, far[:, None] - _OFFSETS, out=table)
     jump[nbits:] = nbits + 1
-    # bound[i] is where codeword i starts and codeword i - 1 ends.
     step = jump
     for _ in range(_CHAIN_STRIDE.bit_length() - 1):
         step = step[step]
-    bound = np.empty(count + 1, dtype=np.int64)
+    # How many codewords to walk: no more than can end inside the window,
+    # where each takes a bit and has its leading one. The one-bit count is
+    # the tighter bound but costs a pass (2 us on a short stream), so it is
+    # taken only where more windows follow; a last window usually holds
+    # every codeword left, and bounds the walk by its bits.
+    if final:
+        limit = min(out.size, nbits - first)
+    else:
+        limit = min(out.size, int(np.bitwise_count(raw).sum()))
+    # bound[i] is where codeword i starts and codeword i - 1 ends.
+    bound = np.empty(limit + 1, dtype=np.int64)
     hop = step.data
-    p = 0
-    coarse = [0] * (count // _CHAIN_STRIDE + 1)
+    p = first
+    coarse = [first] * (limit // _CHAIN_STRIDE + 1)
     for i in range(1, len(coarse)):
         p = coarse[i] = hop[p]
     bound[::_CHAIN_STRIDE] = coarse
     for j in range(1, _CHAIN_STRIDE):
         dst = bound[j::_CHAIN_STRIDE]
         dst[:] = jump[bound[j - 1 :: _CHAIN_STRIDE][: dst.size]]
-    starts = bound[:-1]
-    ends = bound[1:]
+    # The codewords that end inside the window are a prefix.
+    n = limit if bound[-1] <= nbits else int(np.count_nonzero(bound[1:] <= nbits))
+    starts = bound[:n]
+    ends = bound[1 : n + 1]
     lead = (starts + ends - 1) >> 1
     length = ends - lead
-    last = int(ends[-1])
-    longest = int(length.max())
-    if last > nbits or longest > 63:
+    longest = int(length.max()) if n else 0
+    if longest > 63:
         # The first failing codeword decides. A complete codeword of 63 or
         # more zeros carries a value of 64 or more bits: no int64 gap holds it.
-        i = int(np.argmax((ends > nbits) | (length > 63)))
-        p = int(starts[i])
+        raise CodecError("corrupt codeword")
+    if n < out.size and (final or n == 0):
+        p = int(bound[n])
         head = np.unpackbits(raw[p // 8 : p // 8 + 9])[p % 8 : p % 8 + _MAX_GAMMA_ZEROS]
-        if ends[i] <= nbits or (head.size == _MAX_GAMMA_ZEROS and not head.any()):
+        if head.size == _MAX_GAMMA_ZEROS and not head.any():
             raise CodecError("corrupt codeword")
         raise CodecError("truncated stream")
     padded = np.zeros(nbytes + 8, dtype=np.uint8)
@@ -415,7 +472,8 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
     windows = np.ndarray((nbytes,), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
     at = lead >> 3
     shift = (lead & 7).view(np.uint64)
-    bits = windows[at]
+    bits = out[:n]
+    np.take(windows, at, out=bits, mode="clip")  # "clip" skips a buffered copy
     bits <<= shift
     if longest > 57:
         # A value of more than 57 bits can reach into a ninth byte.
@@ -423,7 +481,7 @@ def _scan_gamma(data: bytes, start: int, count: int) -> tuple[np.ndarray, int]:
         bits[spill] |= padded[at[spill] + 8].astype(np.uint64) >> (8 - shift[spill])
     np.subtract(64, length, out=length)
     bits >>= length.view(np.uint64)
-    return bits.view(np.int64), start + (last + 7) // 8
+    return n, int(bound[n])
 
 
 def regenerate_indices(update: SparseUpdate, coeff_len: int) -> None:

@@ -8,7 +8,6 @@ over simple connected d-regular graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,28 +58,40 @@ class MixingWeights:
         return W
 
 
-def _pairing_attempt(rng: np.random.Generator, n: int, d: int):
+def _pairing_attempt(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
+    """One shuffle of the n*d stubs, paired in order. Returns the sorted
+    (n, d) neighbor matrix, or None when the pairing has a self-loop or a
+    repeated pair."""
     stubs = np.repeat(np.arange(n), d)
     rng.shuffle(stubs)
-    adj = [set() for _ in range(n)]
-    for a, b in stubs.reshape(-1, 2):
-        a, b = int(a), int(b)
-        if a == b or b in adj[a]:
-            return None
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+    a, b = stubs.reshape(-1, 2).T
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    if np.any(lo == hi):
+        return None
+    # Each unordered pair as one key; sorted, a repeat sits next to its twin.
+    keys = np.sort(lo * n + hi)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    # Every node has d stubs, so sorting the directed edges by (node,
+    # neighbor) leaves node i's neighbors, ascending, in row i.
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    return dst[np.lexsort((dst, src))].reshape(n, d)
 
 
-def _connected(adj) -> bool:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for j in adj[queue.popleft()]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == len(adj)
+def _connected(adj: np.ndarray) -> bool:
+    """Breadth-first search from node 0 over the (n, d) neighbor matrix."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        fresh = np.zeros(len(adj), dtype=bool)
+        fresh[adj[frontier]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return bool(seen.all())
 
 
 def generate_regular(n: int, d: int, seed: int) -> Topology:
@@ -99,8 +110,7 @@ def generate_regular(n: int, d: int, seed: int) -> Topology:
     for _ in range(MAX_ATTEMPTS):
         adj = _pairing_attempt(rng, n, d)
         if adj is not None and _connected(adj):
-            neighbors = tuple(np.array(sorted(s), dtype=np.int64) for s in adj)
-            return Topology(n, d, neighbors, int(seed))
+            return Topology(n, d, tuple(adj), int(seed))
     raise RuntimeError("generation stalled")
 
 

@@ -93,11 +93,26 @@ class ProtocolConfig:
             raise ValueError("wavelet levels must be >= 1")
 
 
+@dataclass(frozen=True)
+class Outbound:
+    """Entry count and wire sizes of the update a node sent. A round outcome
+    keeps this, not the update, whose arrays are freed once it is
+    serialized."""
+
+    k: int
+    meta_bytes: int
+    byte_size: int
+
+    @classmethod
+    def of(cls, update: SparseUpdate) -> "Outbound":
+        return cls(update.k, update.meta_bytes, update.byte_size)
+
+
 @dataclass(eq=False)
 class RoundOutcome:
     """What one node did in one round, for metrics and debugging."""
 
-    outbound: SparseUpdate
+    outbound: Outbound
     bytes_sent: int
     meta_bytes: int
     alpha_used: float
@@ -180,7 +195,12 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[
 
 
 def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
-    """Select what a trained node shares and build its update."""
+    """Select what a trained node shares and build its update.
+
+    ``_pending`` keeps what ``finalize_round`` reads: x_tau, the node's own
+    values in the shared domain, the sent indices (Choco alone reads them),
+    the cut-off and the update's sizes; not the update itself.
+    """
     x_tau = state.model.theta
 
     if state.algo == Algo.JWINS:
@@ -194,12 +214,12 @@ def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpd
             round_no, state.node_id, idx, coeffs[idx].astype(np.float32),
             compressed=cfg.ablations.metadata_compression_on,
         )
-        state._pending = (x_tau, coeffs, idx, alpha, update)
+        state._pending = (x_tau, coeffs, None, alpha, Outbound.of(update))
         return update
 
     if state.algo == Algo.FULL:
         update = codec.make_full_update(round_no, state.node_id, x_tau.astype(np.float32))
-        state._pending = (x_tau, x_tau, None, 1.0, update)
+        state._pending = (x_tau, x_tau, None, 1.0, Outbound.of(update))
         return update
 
     if state.algo == Algo.RANDOM:
@@ -208,7 +228,7 @@ def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpd
         idx = random_indices(state.coeff_len, k, seed)
         update = codec.make_seed_update(
             round_no, state.node_id, seed, x_tau[idx].astype(np.float32))
-        state._pending = (x_tau, x_tau, idx, cfg.random_alpha, update)
+        state._pending = (x_tau, x_tau, None, cfg.random_alpha, Outbound.of(update))
         return update
 
     if state.algo == Algo.CHOCO:
@@ -217,7 +237,7 @@ def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpd
         vals = residual[idx].astype(np.float32)
         state.choco_hat[idx] += vals.astype(np.float64)
         update = codec.make_indexed_update(round_no, state.node_id, idx, vals)
-        state._pending = (x_tau, vals, idx, cfg.choco_alpha, update)
+        state._pending = (x_tau, vals, idx, cfg.choco_alpha, Outbound.of(update))
         return update
 
     raise ValueError("unknown algorithm %r" % (state.algo,))
@@ -311,7 +331,7 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
     """Phase two: average with the inbox and settle per-round state."""
     if state._pending is None:
         raise RuntimeError("finalize_round called before prepare_round")
-    x_tau, shared, sent, alpha, update = state._pending
+    x_tau, shared, sent, alpha, outbound = state._pending
     state._pending = None
     degree = int(weights.neighbors[state.node_id].size)
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
@@ -348,9 +368,9 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
         raise ValueError("unknown algorithm %r" % (state.algo,))
 
     return RoundOutcome(
-        outbound=update,
-        bytes_sent=update.byte_size * degree,
-        meta_bytes=update.meta_bytes * degree,
+        outbound=outbound,
+        bytes_sent=outbound.byte_size * degree,
+        meta_bytes=outbound.meta_bytes * degree,
         alpha_used=float(alpha),
         rejected=rejected,
     )

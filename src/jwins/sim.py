@@ -502,19 +502,21 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             if cfg.topology.dynamic and n > 1:
                 topology = reshuffle(topology, t, rt.topo_seed)
                 weights = metropolis_hastings(topology)
-            outgoing = [u for updates in pool_map(lambda g: prepare_round(g, t, rt.pcfg),
-                                                   rt.groups)
-                        for u in updates]
-            blobs = [codec.serialize(u) for u in outgoing]
+            # Each update is serialized as soon as its group has built it:
+            # from here on the round holds a message as its wire bytes, the
+            # decoded index set and values that view those bytes.
+            blobs = [blob for group_blobs in pool_map(
+                lambda g: [codec.serialize(u) for u in prepare_round(g, t, rt.pcfg)],
+                rt.groups) for blob in group_blobs]
             if dump_fh is not None:
                 codec.write_message_dump(dump_fh, blobs)
             wire = pool_map(decode, blobs)
             inboxes = [[wire[j] for j in topology.neighbors[i]] for i in range(n)]
             outcomes = pool_map(
                 lambda s: finalize_round(s, inboxes[s.node_id], weights, t, rt.pcfg), states)
-            # Free the decoded updates and their index sets before evaluation
-            # and the next round's training.
-            del wire, inboxes
+            # Free the messages before evaluation and the next round's
+            # training.
+            del blobs, wire, inboxes
             for i, oc in enumerate(outcomes):
                 bytes_cum[i] += oc.bytes_sent
                 meta_cum[i] += oc.meta_bytes

@@ -6,12 +6,14 @@ kept here; everything else is roundtrip and error-contract checks.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jwins import codec
 from jwins.codec import (
     HEADER,
     HEADER_LEN,
@@ -34,6 +36,7 @@ from jwins.codec import (
     serialize,
     write_message_dump,
     _CHAIN_STRIDE,
+    _WINDOW_BITS,
     _scan_gamma,
 )
 from jwins.sparsify import random_indices
@@ -97,6 +100,11 @@ def _gamma_bytes(gaps) -> bytes:
     bits = "".join("0" * (g.bit_length() - 1) + format(g, "b") for g in gaps)
     bits += "0" * (-len(bits) % 8)
     return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _bit_bytes(bits: str) -> bytes:
+    """A string of '0'/'1' characters packed MSB-first, zero-padded."""
+    return np.packbits(np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")).tobytes()
 
 
 def _jwins_message(stream: bytes, k: int, values: bytes | None = None) -> bytes:
@@ -384,6 +392,59 @@ class TestMessages:
             with pytest.raises(CodecError, match="truncated stream"):
                 deserialize(_jwins_message(b"\x00", 2, values))
 
+    def test_values_are_read_only_views_of_bytes(self):
+        """Decoded values view a ``bytes`` message without a copy; any other
+        buffer is copied once, so writing to it later changes nothing."""
+        rng = np.random.default_rng(6)
+        vals = rng.normal(size=5).astype(np.float32)
+        for u in (make_full_update(1, 2, vals),
+                  make_indexed_update(1, 2, [2, 3, 10, 50, 51], vals),
+                  make_indexed_update(1, 2, [2, 3, 10, 50, 51], vals, compressed=False),
+                  make_seed_update(1, 2, 77, vals)):
+            blob = serialize(u)
+            v = deserialize(blob)
+            assert not v.values.flags.writeable
+            assert np.shares_memory(v.values, np.frombuffer(blob, dtype=np.uint8))
+            buf = bytearray(blob)
+            w = deserialize(buf)
+            assert not np.shares_memory(w.values, np.frombuffer(buf, dtype=np.uint8))
+            buf[-4:] = b"\xff" * 4
+            np.testing.assert_array_equal(w.values, vals)
+
+    def test_decode_memory_is_bounded_by_the_window(self):
+        """One uniform-random message at density 0.34 over 1,000,000 slots:
+        decoding it allocates its gaps and indices (about 5.4 MB) plus one
+        scan window's tables, not tables sized by the message (about 39 MB
+        when the whole stream was one window)."""
+        rng = np.random.default_rng(7)
+        idx = np.flatnonzero(rng.random(1_000_000) < 0.34)
+        blob = serialize(make_indexed_update(0, 0, idx, rng.normal(size=idx.size)))
+        tracemalloc.start()
+        try:
+            u = deserialize(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 10**6
+        np.testing.assert_array_equal(u.indices, idx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.integers(0, 255), k=st.integers(2**20, 2**32 - 1),
+           body=st.binary(max_size=4096))
+    def test_large_declared_count_fails_before_allocating(self, kind, k, body):
+        """A header declaring far more entries than the bytes can hold is a
+        CodecError, raised before anything the size of the count is
+        allocated."""
+        data = HEADER.pack(0, 0, kind, k) + body
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError):
+                deserialize(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(data) + 16384
+
     def test_uncompressed_variant_is_4_bytes_per_index(self):
         idx = np.arange(0, 1000, 2)
         comp = make_indexed_update(0, 0, idx, np.zeros(500, dtype=np.float32))
@@ -537,6 +598,76 @@ class TestScanOracle:
                 for bit in rng.integers(0, 8 * len(stream), int(rng.integers(1, 4))):
                     stream[bit // 8] ^= 0x80 >> (bit % 8)
                 self._check(bytes(stream), 0, count)
+
+    # The windowed cases run at a small window, whose edges many cases can
+    # reach, and at the module's own.
+    WINDOWS = pytest.mark.parametrize("window", [256, _WINDOW_BITS])
+
+    @WINDOWS
+    def test_streams_spanning_several_windows(self, monkeypatch, window):
+        monkeypatch.setattr(codec, "_WINDOW_BITS", window)
+        rng = np.random.default_rng(16)
+        for _ in range(6):
+            widths = rng.integers(1, 14, 4 * window // 7)
+            widths[rng.random(widths.size) < 0.01] = 60
+            gaps = [int(g) for g in rng.integers(1 << (widths - 1), 1 << widths, dtype=np.int64)]
+            stream = _gamma_bytes(gaps)
+            assert 8 * len(stream) > 3 * window
+            for prefix in (b"", b"\x5a", b"\x00\xff\x00"):
+                data = prefix + stream
+                self._check(data, len(prefix), len(gaps))
+                self._check(data, len(prefix), len(gaps) + 1)
+            np.testing.assert_array_equal(_scan_gamma(stream, 0, len(gaps))[0], gaps)
+
+    @WINDOWS
+    def test_codeword_straddling_a_window_edge(self, monkeypatch, window):
+        """A 41-bit codeword, a complete 63-zero codeword, a 64-zero run and
+        a zero run too long for any window to end its codeword, each
+        starting at every bit from 45 before the first window edge to just
+        after it."""
+        monkeypatch.setattr(codec, "_WINDOW_BITS", window)
+        tails = ["0" * 20 + "1" + "01" * 10,
+                 "0" * 63 + "1" + "10" * 31 + "1",
+                 "0" * 64 + "1" * 8,
+                 "0" * (window // 2 + 72) + "1" * window]
+        for lead in range(window - 45, window + 3):
+            for tail in tails:
+                bits = "1" * lead + tail + "1" * 20
+                data = _bit_bytes(bits)
+                self._check(data, 0, lead + 5)
+                self._check(data, 0, lead + 1)
+
+    @WINDOWS
+    def test_failure_first_in_a_later_window(self, monkeypatch, window):
+        """Truncation, bit flips and a 64-zero run placed past the first
+        window of a valid stream."""
+        monkeypatch.setattr(codec, "_WINDOW_BITS", window)
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            widths = rng.integers(1, 10, 3 * window // 5)
+            gaps = [int(g) for g in rng.integers(1 << (widths - 1), 1 << widths, dtype=np.int64)]
+            stream = bytearray(_gamma_bytes(gaps))
+            later = window // 8 + int(rng.integers(0, len(stream) - window // 8))
+            self._check(bytes(stream[:later]), 0, len(gaps))
+            flipped = bytearray(stream)
+            for bit in rng.integers(8 * later, 8 * len(stream), int(rng.integers(1, 4))):
+                flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            self._check(bytes(flipped), 0, len(gaps))
+            zeroed = bytearray(stream)
+            zeroed[later : later + 9] = bytes(9)
+            self._check(bytes(zeroed), 0, len(gaps))
+
+    @WINDOWS
+    def test_counts_at_a_window_edge(self, monkeypatch, window):
+        """One-bit codewords: codeword ``window - 1`` ends on the first
+        window edge. Counts around it, on streams that end at, before and
+        after the edge, from byte offsets 0 and 1."""
+        monkeypatch.setattr(codec, "_WINDOW_BITS", window)
+        for length in (window - 8, window, window + 8, 2 * window):
+            for prefix in (b"", b"\x01"):
+                data = prefix + _bit_bytes("1" * length)
+                for count in (window - 1, window, window + 1):
+                    self._check(data, len(prefix), count)
 
     def test_mutated_messages_raise_only_codec_error(self):
         """Bit flips, truncation and appended bytes: a message either decodes

@@ -1,9 +1,12 @@
 """Random regular graph and mixing weight tests."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from jwins.graph import (
+    MAX_ATTEMPTS,
     Topology,
     derived_seed,
     generate_regular,
@@ -12,6 +15,37 @@ from jwins.graph import (
     round_seed,
     seed_sequence,
 )
+
+
+def _reference_generate_regular(n, d, seed):
+    """The pairing loop ``generate_regular`` used before its array form: pair
+    the shuffled stubs in order, give up on the first self-loop or repeated
+    pair, then breadth-first search for connectivity. Returns the neighbor
+    lists, or None when every attempt failed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_ATTEMPTS):
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        adj = [set() for _ in range(n)]
+        for a, b in stubs.reshape(-1, 2):
+            a, b = int(a), int(b)
+            if a == b or b in adj[a]:
+                adj = None
+                break
+            adj[a].add(b)
+            adj[b].add(a)
+        if adj is None:
+            continue
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            for j in adj[queue.popleft()]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        if len(seen) == n:
+            return [sorted(s) for s in adj]
+    return None
 
 
 def _check_regular(topo, n, d):
@@ -62,6 +96,33 @@ class TestGenerate:
             generate_regular(5, 3, seed=0)  # odd n*d
         with pytest.raises(ValueError):
             generate_regular(3, 0, seed=0)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_loop(self, n):
+        """Equal neighbor lists, and equal stalls, over a grid of degrees
+        up to 5 and seeds."""
+        for d in range(1, min(n, 6)):
+            if (n * d) % 2 or (d == 1 and n > 2):
+                continue
+            for seed in range(8):
+                want = _reference_generate_regular(n, d, seed)
+                if want is None:
+                    with pytest.raises(RuntimeError, match="generation stalled"):
+                        generate_regular(n, d, seed)
+                    continue
+                got = generate_regular(n, d, seed)
+                assert [nb.tolist() for nb in got.neighbors] == want, (n, d, seed)
+
+    def test_matches_reference_loop_on_reshuffles(self):
+        """The 64-node, degree-4 graphs a dynamic run redraws every round,
+        for run seeds 1-3 over 24 rounds (topology seeds derived under tag
+        4, as ``sim.build_runtime`` does)."""
+        for run_seed in (1, 2, 3):
+            base = generate_regular(64, 4, derived_seed(run_seed, 4))
+            for r in range(24):
+                got = reshuffle(base, r, base.seed)
+                want = _reference_generate_regular(64, 4, round_seed(base.seed, r))
+                assert [nb.tolist() for nb in got.neighbors] == want, (run_seed, r)
 
     def test_generation_stalled(self):
         """1-regular on 4 nodes is always two disjoint edges: never connected."""

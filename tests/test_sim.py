@@ -8,6 +8,7 @@ real serialize/deserialize boundary every round.
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,33 @@ class TestMetricsRows:
         empty.write_text("")
         with pytest.raises(ValueError, match="schema mismatch"):
             read_metrics(empty)
+
+
+class TestRunMemory:
+    def test_peak_per_parameter_per_node(self):
+        """A round holds each message once: its wire bytes, the decoded
+        index set and values that view those bytes. tracemalloc's peak over a
+        3-round, 8-node jwins run of 60,426 parameters read 47.7 bytes per
+        parameter per node when each round kept its messages two or three
+        times over (the sender's update, a decoded copy of the values, and
+        the previous round's updates in the round outcomes), and 36.2 once
+        it kept them once. About 24 of those bytes are the floor: each
+        node's parameters, its wavelet reference and its pending
+        coefficients."""
+        raw = {"algo": "jwins", "n": 8, "rounds": 3, "eval_every": 3, "seed": 5,
+               "model": {"kind": "mlp", "hidden": 1024},
+               "data": {"classes": 10, "dims": 48, "per_class": 40, "test_per_class": 10},
+               "sgd": {"eta": 0.08, "tau": 2, "batch_size": 16},
+               "topology": {"d": 4}}
+        run(config_from_dict({**raw, "rounds": 1}))  # one-time allocations
+        tracemalloc.start()
+        try:
+            run(config_from_dict(raw))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = 48 * 1024 + 1024 + 1024 * 10 + 10
+        assert peak / (8 * params) < 42.0
 
 
 def _digest(data: bytes) -> str:
