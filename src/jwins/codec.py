@@ -24,13 +24,18 @@ the running sum of the codeword lengths 2 * blen - 1, so shifting the gap
 left by (-ends[i]) mod 64 puts it in place in the word that holds its last
 bit. Codewords never overlap, so OR equals ADD: a word is the OR of the
 codewords that end in it, plus the high bits of at most one codeword that
-crosses its lower boundary (a gap has at most 63 bits). The decoder maps
-every bit position to the end of the codeword that would start there and
-follows that map by pointer doubling (``_scan_window``). It does so one
+crosses its lower boundary (a gap has at most 63 bits). Several index sets
+encode in one such pass (``encode_index_sets``): their streams are laid end
+to end, each starting on a byte boundary, and cut apart after packing, so
+each set's bytes are those it gets alone. The decoder maps every bit
+position to the end of the codeword that would start there and follows
+that map by pointer doubling (``_scan_window``). It does so one
 window of ``_WINDOW_BITS`` stream bits at a time: a window decodes the
 codewords that end inside it, and the next starts at the following
-codeword, so decoding a message of any size allocates its gaps and indices
-plus one window's tables (``_scan_gamma``).
+codeword, so decoding a message of any size allocates its gaps, which turn
+into its indices in place, plus one window's tables (``_scan_gamma``). An
+all-ones stream of K bits, the indices 0 to K - 1 that every cut-off of 1
+sends, is read without the scan.
 
 Decoded values are a read-only float32 view into the message bytes, not a
 copy: a round holds each message's values once, in its wire bytes.
@@ -45,6 +50,7 @@ index bits, so a stream that would run into them is a "truncated stream".
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -106,27 +112,36 @@ class SparseUpdate:
         return HEADER_LEN + len(self.index_payload) + 4 * self.k
 
 
-def indices_to_gaps(indices: np.ndarray) -> np.ndarray:
-    """Strictly increasing non-negative indices -> positive gap sequence."""
+def indices_to_gaps(indices: np.ndarray, counts=None) -> np.ndarray:
+    """Strictly increasing non-negative indices -> positive gap sequence.
+
+    With ``counts``, ``indices`` holds several such sets back to back, set s
+    taking the next ``counts[s]`` entries, and each set's gaps start afresh.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     gaps = np.empty(idx.size, dtype=np.int64)
     if idx.size == 0:
         return gaps
-    gaps[0] = idx[0] + 1
     np.subtract(idx[1:], idx[:-1], out=gaps[1:])
-    # gaps[0] >= 1 exactly when idx[0] >= 0.
+    firsts = 0
+    if counts is not None and len(counts) > 1:
+        firsts = [end - c for end, c in zip(itertools.accumulate(counts), counts) if c]
+    gaps[firsts] = idx[firsts] + 1
+    # A set's first gap is >= 1 exactly when its first index is >= 0.
     if gaps.min() <= 0:
         raise CodecError("indices not strictly increasing")
     return gaps
 
 
 def gaps_to_indices(gaps: np.ndarray) -> np.ndarray:
-    """Positive gap sequence -> strictly increasing indices.
+    """Positive int64 gap sequence -> strictly increasing indices, in place:
+    the gaps become the indices, so a decode holds one K-entry array, not
+    two. Callers pass a fresh array.
 
     Does not check the gaps: every gap the decoder returns has a leading one
     bit, so it is at least 1.
     """
-    indices = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    indices = np.cumsum(gaps, out=gaps)
     indices -= 1
     return indices
 
@@ -134,10 +149,18 @@ def gaps_to_indices(gaps: np.ndarray) -> np.ndarray:
 def elias_gamma_encode(gaps) -> bytes:
     """Pack positive integers into a byte-aligned Elias-gamma bit stream."""
     g = np.asarray(gaps, dtype=np.int64)
-    if g.size == 0:
-        return b""
-    if g.min() <= 0:
+    if g.size and g.min() <= 0:
         raise CodecError("gamma code is undefined for non-positive integers")
+    return _gamma_streams(g, [g.size])[0]
+
+
+def _gamma_streams(g: np.ndarray, counts) -> list[bytes]:
+    """Gamma-code consecutive runs of the positive gaps ``g``, run s taking
+    the next ``counts[s]`` gaps, as separate byte-aligned streams, in one
+    pass: the streams are laid end to end, each padded to a whole byte, and
+    cut apart at the end."""
+    if g.size == 0:
+        return [b""] * len(counts)
     # Built a 64-bit word at a time; see the module docstring. Bit lengths
     # come from the float64 exponent. Exact below 2**53; above it the cast
     # can round up to the next power of two, one bit too many, which the
@@ -147,6 +170,20 @@ def elias_gamma_encode(gaps) -> bytes:
     if blen.max() > 53:
         blen -= (g >> (blen - 1)) == 0
     ends = np.cumsum(2 * blen - 1)
+    # Each stream's byte offset and size. Every stream is padded to a whole
+    # byte, so its codewords move up by the pad bits of the streams before it.
+    layout = []
+    shifts = []
+    coded = unpadded = byte = 0
+    for count in counts:
+        coded += count
+        end = int(ends[coded - 1]) if coded else 0
+        shifts.append(8 * byte - unpadded)
+        layout.append((byte, (end - unpadded + 7) >> 3))
+        byte += layout[-1][1]
+        unpadded = end
+    if len(counts) > 1:
+        ends += np.repeat(shifts, counts)
     nbits = int(ends[-1])
     # first[w]: the first codeword that ends in word w or later. The last
     # word always holds an end, so every first[w] is a valid position.
@@ -163,7 +200,8 @@ def elias_gamma_encode(gaps) -> bytes:
     out = np.flatnonzero(ends[cross] - blen[cross] < bounds[1:])
     cross = cross[out]
     words[out] |= u[cross] >> (ends[cross] - bounds[out + 1]).view(np.uint64)
-    return words.astype(">u8").tobytes()[: (nbits + 7) >> 3]
+    blob = words.astype(">u8").tobytes()
+    return [blob[at : at + size] for at, size in layout]
 
 
 def elias_gamma_decode(data: bytes, count: int) -> np.ndarray:
@@ -186,6 +224,17 @@ def elias_gamma_decode(data: bytes, count: int) -> np.ndarray:
 def encode_indices(indices: np.ndarray) -> bytes:
     """Sorted indices -> gamma-coded gap bytes."""
     return elias_gamma_encode(indices_to_gaps(indices))
+
+
+def encode_index_sets(index_sets) -> list[bytes]:
+    """Several sorted index sets -> each set's gamma-coded gap bytes, in one
+    vectorized pass. Each set's stream is byte-aligned on its own, so every
+    result equals ``encode_indices`` of its set."""
+    sets = [np.asarray(s, dtype=np.int64) for s in index_sets]
+    if len(sets) < 2:
+        return [encode_indices(idx) for idx in sets]
+    counts = [s.size for s in sets]
+    return _gamma_streams(indices_to_gaps(np.concatenate(sets), counts), counts)
 
 
 def decode_indices(data: bytes, count: int) -> np.ndarray:
@@ -234,22 +283,37 @@ def make_indexed_update(
     compressed: bool = True,
 ) -> SparseUpdate:
     """Sparse update carrying explicit indices, gamma-coded unless disabled."""
-    _check_ids(round_no, sender)
-    v = _as_f32(values)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size != v.size:
-        raise CodecError("index and value counts differ")
-    if idx.size and (idx[0] < 0 or int(idx[-1]) > _U32_MAX):
-        raise CodecError("index out of range")
+    return make_indexed_updates(round_no, [sender], [indices], [values], compressed)[0]
+
+
+def make_indexed_updates(round_no: int, senders, index_sets, value_sets,
+                         compressed: bool = True) -> list[SparseUpdate]:
+    """One ``make_indexed_update`` per sender, with every index set
+    gamma-coded in one pass (``encode_index_sets``)."""
+    for sender in senders:
+        _check_ids(round_no, sender)
+    sets = []
+    values = []
+    for indices, vals in zip(index_sets, value_sets, strict=True):
+        v = _as_f32(vals)
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size != v.size:
+            raise CodecError("index and value counts differ")
+        if idx.size and (idx[0] < 0 or int(idx[-1]) > _U32_MAX):
+            raise CodecError("index out of range")
+        sets.append(idx)
+        values.append(v)
     if compressed:
-        payload = encode_indices(idx)
+        payloads = encode_index_sets(sets)
         kind = UpdateKind.JWINS_INDICES
     else:
-        if idx.size and (idx[0] < 0 or np.any(np.diff(idx) <= 0)):
-            raise CodecError("indices not strictly increasing")
-        payload = idx.astype("<u4").tobytes()
+        for idx in sets:
+            if idx.size and (idx[0] < 0 or np.any(np.diff(idx) <= 0)):
+                raise CodecError("indices not strictly increasing")
+        payloads = [idx.astype("<u4").tobytes() for idx in sets]
         kind = UpdateKind.RAW_INDICES
-    return SparseUpdate(round_no, sender, kind, v, indices=idx, index_payload=payload)
+    return [SparseUpdate(round_no, sender, kind, v, indices=idx, index_payload=payload)
+            for sender, idx, v, payload in zip(senders, sets, values, payloads, strict=True)]
 
 
 def make_seed_update(round_no: int, sender: int, seed: int, values) -> SparseUpdate:
@@ -363,10 +427,23 @@ def _scan_gamma(data, start: int, count: int) -> tuple[np.ndarray, int]:
     stream is decoded in windows of ``_WINDOW_BITS`` bits: each window
     decodes the codewords that end inside it, and the next window starts at
     the byte that holds the following codeword's first bit. So the scan's
-    tables are sized by the window, never by the message.
+    tables are sized by the window, never by the message. A stream that
+    fits one window is that window.
+
+    A stream of exactly ``ceil(count / 8)`` bytes whose first ``count`` bits
+    are ones holds ``count`` one-bit codewords, the gaps of indices 0 to
+    count - 1, which every cut-off of 1 sends; it is read without the scan.
     """
-    gaps = np.empty(count, dtype=np.uint64)
     stream = np.frombuffer(data, dtype=np.uint8, offset=start)
+    full, rest = divmod(count, 8)
+    if (stream.size == (count + 7) // 8 and (full == 0 or stream[:full].min() == 255)
+            and (rest == 0 or stream[full] >> (8 - rest) == (1 << rest) - 1)):
+        return np.ones(count, dtype=np.int64), start + stream.size
+    gaps = np.empty(count, dtype=np.uint64)
+    if 8 * stream.size <= _WINDOW_BITS:
+        # A last window that leaves codewords undecoded raises.
+        _, at = _scan_window(stream, 0, gaps, True)
+        return gaps.view(np.int64), start + (at + 7) // 8
     done = 0
     at = 0  # stream bit where codeword ``done`` starts
     while done < count:

@@ -6,8 +6,9 @@ message before anyone averages:
 * ``prepare_round`` takes a group of consecutive nodes (``NodeGroup``),
   runs tau local SGD steps for all of them as one stack, then selects what
   each member shares and returns the members' outgoing updates.
-* ``finalize_round`` takes one node's inbox of neighbor updates, averages in
-  the shared domain and writes the averaged parameters back into the model.
+* ``finalize_group`` hands each member's inbox of neighbor updates to
+  ``finalize_round``, which averages in the shared domain; the averaged
+  values become the members' parameters.
 
 Four algorithms share this skeleton: the wavelet protocol, full sharing,
 seeded random sampling in parameter space, and a memory-efficient Choco-SGD
@@ -15,7 +16,9 @@ baseline with error compensation. The wavelet protocol transforms the
 parameters once a round and shares the coefficients that drifted most since
 the node last shared them (``sparsify.select_drift``), with a randomized
 cut-off; averaging the sparse updates needs no score bookkeeping, because
-the drift is read off the next round's transform.
+the drift is read off the next round's transform. A group runs that
+transform, the gamma encode of its members' index sets and the inverse
+transform once for all its members; selection and averaging stay per node.
 """
 
 from __future__ import annotations
@@ -110,13 +113,16 @@ class Outbound:
 
 @dataclass(eq=False)
 class RoundOutcome:
-    """What one node did in one round, for metrics and debugging."""
+    """What one node did in one round, for metrics and debugging:
+    ``accepted`` and ``rejected`` count the inbox's updates it averaged in
+    and dropped."""
 
     outbound: Outbound
     bytes_sent: int
     meta_bytes: int
     alpha_used: float
     rejected: int = 0
+    accepted: int = 0
 
 
 class NodeState:
@@ -157,16 +163,21 @@ class NodeState:
 
 @dataclass(eq=False)
 class NodeGroup:
-    """Consecutive nodes that train as one stack.
+    """Consecutive nodes that train, transform and encode as one stack.
 
     Row g of ``model.theta`` is ``states[g].model.theta``, and ``X``/``y``
-    hold the members' local samples back to back, in member order.
+    hold the members' local samples back to back, in member order. For
+    jwins, ``coeffs`` holds the members' coefficients between the two
+    phases of a round, one row each: x_tau's transform after
+    ``prepare_round``, and after each member's ``finalize_round`` its
+    averaged coefficients, which ``finalize_group`` inverts.
     """
 
     states: list
     model: object
     X: np.ndarray
     y: np.ndarray
+    coeffs: np.ndarray | None = None
 
     @classmethod
     def single(cls, state: NodeState) -> "NodeGroup":
@@ -185,37 +196,56 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[
     update, in member order.
 
     The post-training parameters x_tau are kept as the model's own vector,
-    not a copy: nothing writes the model until ``finalize_round`` sets x_next.
+    not a copy: nothing writes the model until the finalize phase sets
+    x_next.
     """
-    for state in group.states:
-        if state.algo == Algo.JWINS and (state.ref is None or not cfg.ablations.accumulation_on):
-            state.ref = dwt(state.model.theta, state.levels)
+    if cfg.algo == Algo.JWINS:
+        return _prepare_jwins(group, round_no, cfg)
     group.train(cfg.sgd)
     return [_outgoing(state, round_no, cfg) for state in group.states]
 
 
+def _prepare_jwins(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[SparseUpdate]:
+    """The wavelet protocol's phase one: one transform of the group's stack
+    after training (and, for a member without a reference, one before it),
+    then per member a cut-off and the coefficients that drifted most, and one
+    gamma encode of every member's index set."""
+    states = group.states
+    levels = states[0].levels
+    fresh = [s for s in states if s.ref is None or not cfg.ablations.accumulation_on]
+    if fresh:
+        refs = dwt(np.stack([s.model.theta for s in fresh]), levels)
+        for state, ref in zip(fresh, refs):
+            state.ref = ref
+    group.train(cfg.sgd)
+    group.coeffs = dwt(group.model.theta, levels)
+    alphas = []
+    index_sets = []
+    for state, coeffs in zip(states, group.coeffs):
+        if cfg.ablations.random_cutoff_on:
+            alphas.append(draw_alpha(cfg.alpha, state.rng_alpha))
+        else:
+            alphas.append(cfg.alpha.mean())
+        index_sets.append(select_drift(coeffs, state.ref, alphas[-1]))
+    updates = codec.make_indexed_updates(
+        round_no, [s.node_id for s in states], index_sets,
+        [coeffs[idx].astype(np.float32) for coeffs, idx in zip(group.coeffs, index_sets)],
+        compressed=cfg.ablations.metadata_compression_on,
+    )
+    for state, coeffs, alpha, update in zip(states, group.coeffs, alphas, updates):
+        state._pending = (state.model.theta, coeffs, None, alpha, Outbound.of(update))
+    return updates
+
+
 def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
-    """Select what a trained node shares and build its update.
+    """Select what a trained node of full sharing, random sampling or Choco
+    shares and build its update.
 
     ``_pending`` keeps what ``finalize_round`` reads: x_tau, the node's own
     values in the shared domain, the sent indices (Choco alone reads them),
     the cut-off and the update's sizes; not the update itself.
     """
     x_tau = state.model.theta
-
-    if state.algo == Algo.JWINS:
-        if cfg.ablations.random_cutoff_on:
-            alpha = draw_alpha(cfg.alpha, state.rng_alpha)
-        else:
-            alpha = cfg.alpha.mean()
-        coeffs = dwt(x_tau, state.levels)
-        idx = select_drift(coeffs, state.ref, alpha)
-        update = codec.make_indexed_update(
-            round_no, state.node_id, idx, coeffs[idx].astype(np.float32),
-            compressed=cfg.ablations.metadata_compression_on,
-        )
-        state._pending = (x_tau, coeffs, None, alpha, Outbound.of(update))
-        return update
 
     if state.algo == Algo.FULL:
         update = codec.make_full_update(round_no, state.node_id, x_tau.astype(np.float32))
@@ -311,8 +341,10 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
             acc += wv
             norm += w
         else:
-            acc[idx] += wv
-            norm[idx] += w
+            # Bitwise equal to fancy-index += for sorted unique indices,
+            # and faster.
+            np.add.at(acc, idx, wv)
+            np.add.at(norm, idx, w)
     # Every slot is divided, then the untouched ones get their own value
     # back: cheaper than a masked divide. With a zero self weight an
     # untouched slot divides 0 by 0 before it is overwritten. A slot is
@@ -328,7 +360,9 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
 
 def finalize_round(state: NodeState, inbox, weights: MixingWeights,
                    round_no: int, cfg: ProtocolConfig) -> RoundOutcome:
-    """Phase two: average with the inbox and settle per-round state."""
+    """Phase two for one node: average with the inbox and settle per-round
+    state. For jwins the averaged coefficients replace the node's row of its
+    group's ``coeffs``, and ``finalize_group`` turns them into parameters."""
     if state._pending is None:
         raise RuntimeError("finalize_round called before prepare_round")
     x_tau, shared, sent, alpha, outbound = state._pending
@@ -337,14 +371,10 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
 
     if state.algo == Algo.JWINS:
+        # With nothing arrived the row is not inverted: the parameters stay
+        # exactly at the post-training point.
         if contribs:
-            avg = sparse_average(shared, contribs, weights, state.node_id)
-            x_next = idwt(avg, state.model.param_count, state.levels)
-        else:
-            # Nothing arrived: parameters stay exactly at the post-training
-            # point.
-            x_next = x_tau
-        state.model.set_flat(x_next)
+            shared[:] = sparse_average(shared, contribs, weights, state.node_id)
     elif state.algo in (Algo.FULL, Algo.RANDOM):
         x_next = sparse_average(shared, contribs, weights, state.node_id)
         state.model.set_flat(x_next)
@@ -373,5 +403,24 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
         meta_bytes=outbound.meta_bytes * degree,
         alpha_used=float(alpha),
         rejected=rejected,
+        accepted=len(contribs),
     )
 
+
+def finalize_group(group: NodeGroup, inboxes, weights: MixingWeights,
+                   round_no: int, cfg: ProtocolConfig) -> list[RoundOutcome]:
+    """Phase two for a group: each member's ``finalize_round`` with its
+    inbox, in member order. For jwins, then one inverse transform of the
+    coefficient rows of every member that averaged anything."""
+    outcomes = [finalize_round(state, inbox, weights, round_no, cfg)
+                for state, inbox in zip(group.states, inboxes, strict=True)]
+    coeffs, group.coeffs = group.coeffs, None
+    if coeffs is not None:
+        rows = [g for g, oc in enumerate(outcomes) if oc.accepted]
+        plen = group.model.param_count
+        levels = group.states[0].levels
+        if len(rows) == len(outcomes):
+            group.model.theta[:] = idwt(coeffs, plen, levels)
+        elif rows:
+            group.model.theta[rows] = idwt(coeffs[rows], plen, levels)
+    return outcomes

@@ -6,18 +6,20 @@ then all nodes finalize (average the updates that reached them). Every
 update crosses a real serialize/deserialize boundary, so traffic accounting
 is byte-exact and the codec is exercised on every message.
 
-Every node's parameters are one row of a single (n, P) matrix, and the
-prepare phase works on groups of consecutive nodes: each group trains as
-one stack (``node.NodeGroup``). Small models are grouped up to about
-``POOL_MIN_PARAMS`` parameters a group, so many small nodes cost a few
-stacked steps instead of one short call each; a model of that size or more
-is a group of its own.
+Every node's parameters are one row of a single (n, P) matrix, and both
+phases work on groups of consecutive nodes (``node.NodeGroup``): each group
+trains as one stack, and a jwins group transforms, gamma-encodes and
+inverts its members' rows in one call each. Small models are grouped up to
+about ``POOL_MIN_PARAMS`` parameters a group, so many small nodes cost a
+few stacked calls instead of one short call each; a model of that size or
+more is a group of its own. Decoding runs per message and evaluation per
+node.
 
-With ``workers`` above 1 a thread pool maps the prepare phase's groups, the
-decoding of each round's messages, the per-node finalize work and the
-evaluations; numpy and BLAS release the GIL, so wide models use more than
-one CPU. Left unset, the worker count comes from the machine, the model and
-the algorithm (``pool_size``).
+With ``workers`` above 1 a thread pool maps the groups of both phases, the
+decoding of each round's messages and the evaluations; numpy and BLAS
+release the GIL, so wide models use more than one CPU. Left unset, the
+worker count comes from the machine, the model and the algorithm
+(``pool_size``).
 
 Determinism: the run seed fans out through named SeedSequence spawns (model
 init, partition, data, topology, and three per-node streams), so a config
@@ -59,7 +61,7 @@ from .node import (
     NodeGroup,
     NodeState,
     ProtocolConfig,
-    finalize_round,
+    finalize_group,
     prepare_round,
 )
 from .sparsify import (
@@ -512,8 +514,10 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
                 codec.write_message_dump(dump_fh, blobs)
             wire = pool_map(decode, blobs)
             inboxes = [[wire[j] for j in topology.neighbors[i]] for i in range(n)]
-            outcomes = pool_map(
-                lambda s: finalize_round(s, inboxes[s.node_id], weights, t, rt.pcfg), states)
+            outcomes = [oc for group_outcomes in pool_map(
+                lambda g: finalize_group(g, [inboxes[s.node_id] for s in g.states],
+                                         weights, t, rt.pcfg),
+                rt.groups) for oc in group_outcomes]
             # Free the messages before evaluation and the next round's
             # training.
             del blobs, wire, inboxes

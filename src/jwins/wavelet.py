@@ -11,6 +11,13 @@ count alone (``coeff_layout``). Decomposition stops early when a level's
 input is shorter than the filter, so very short vectors get fewer levels
 than requested. Zero levels, asked for or reached that way, is the identity:
 the coefficient array is a copy of the input.
+
+``dwt`` and ``idwt`` also take a (G, P) stack of parameter rows or a (G, C)
+stack of coefficient rows, and a vector is the one-row stack. Each level
+is then one ``np.correlate`` per band over the rows laid end to end, every
+row with its own boundary extension, and every row comes out bit-identical
+to that row transformed alone (see ``_synthesize`` for the one output per
+row and level that needs care).
 """
 
 from __future__ import annotations
@@ -65,69 +72,103 @@ def coeff_length(source_len: int, levels: int) -> int:
 
 
 def _analyze(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Half-sample symmetric extension by 3 on both ends, dense correlation,
-    # then keep outputs at odd phase. Yields floor((n + 3) / 2) per band.
-    # Slicing builds the extension; a level only runs when n >= FILTER_LEN.
-    ext = np.concatenate([a[2::-1], a, a[:-4:-1]])
-    lo = np.convolve(ext, FILTER_LO, mode="valid")[1::2]
-    hi = np.convolve(ext, FILTER_HI, mode="valid")[1::2]
+    # Each row gets its own half-sample symmetric extension by 3 on both
+    # ends; the extended rows, laid end to end, are correlated densely in
+    # one call per band, and each row keeps its own outputs at odd phase,
+    # floor((n + 3) / 2) per band. Every kept output is a full 4-tap product
+    # inside its own row, so it equals the row's transform alone. A level
+    # only runs when n >= FILTER_LEN.
+    rows, n = a.shape
+    ext = np.concatenate([a[:, 2::-1], a, a[:, :-4:-1]], axis=1).ravel()
+    # Row g's outputs start at g * (n + 6); its kept ones are every other
+    # output from the second on. Correlating with the reversed taps is the
+    # convolution, computed by the same kernel without np.convolve's
+    # argument handling.
+    shape = (rows, (n + 3) // 2)
+    strides = (8 * (n + 6), 16)
+    lo = np.ndarray(shape, np.float64, np.correlate(ext, FILTER_LO[::-1], "valid"), 8, strides)
+    hi = np.ndarray(shape, np.float64, np.correlate(ext, FILTER_HI[::-1], "valid"), 8, strides)
     return lo, hi
 
 
 def _synthesize(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
     # Adjoint of the analysis step restricted to the kept coefficient range:
     # upsample each band at even phase, filter with the time-reversed pair,
-    # sum, and crop the transient introduced by the boundary extension.
-    up_a = np.zeros(2 * len(ca))
-    up_d = np.zeros(2 * len(cd))
-    up_a[0::2] = ca
-    up_d[0::2] = cd
-    y = np.convolve(up_a, FILTER_LO[::-1]) + np.convolve(up_d, FILTER_HI[::-1])
-    return y[FILTER_LEN - 2 : FILTER_LEN - 2 + out_len]
+    # sum, and crop the transient introduced by the boundary extension. The
+    # rows are upsampled end to end and filtered in one call per band;
+    # correlating with the taps is convolving with the reversed ones.
+    rows, c = ca.shape
+    up_a = np.zeros((rows, 2 * c))
+    up_d = np.zeros((rows, 2 * c))
+    up_a[:, 0::2] = ca
+    up_d[:, 0::2] = cd
+    y = np.correlate(up_a.ravel(), FILTER_LO, "full")
+    y += np.correlate(up_d.ravel(), FILTER_HI, "full")
+    # Row g's outputs start at g * 2c; its kept ones from the third on.
+    out = np.ndarray((rows, out_len), np.float64, y, 8 * (FILTER_LEN - 2), (16 * c, 8))
+    # A row's first kept output overlaps only 3 of its own taps. np.correlate
+    # computes such a partial overlap with the BLAS dot, whose rounding
+    # differs from the 4-tap kernel that ran across the row boundary here,
+    # so rows after the first take it from the same dot: a stack of
+    # (1, 3) @ (3, 1) products is one BLAS dot per row. (A (G, 3) @ (3,)
+    # product would run a matrix-vector kernel, whose rounding BLAS does not
+    # tie to the dot's.)
+    if rows > 1:
+        first = up_a[1:, None, :3] @ FILTER_LO[1:, None] + up_d[1:, None, :3] @ FILTER_HI[1:, None]
+        out[1:, 0] = first[:, 0, 0]
+    return out
 
 
 def dwt(x: np.ndarray, levels: int) -> np.ndarray:
-    """Forward multi-level transform of a flat vector.
+    """Forward multi-level transform of a flat vector or of each row of a
+    stack.
 
     Args:
-        x: 1-D array of parameters (any float dtype; promoted to float64).
+        x: 1-D array of parameters, or a (G, P) stack of G such rows (any
+            float dtype; promoted to float64).
         levels: requested level count; 0 returns a float64 copy of ``x``.
 
     Returns:
-        The ``coeff_length(x.size, levels)`` coefficients, all bands
-        concatenated in ``coeff_layout`` order. Raises ValueError on an
-        empty input.
+        Per row, the ``coeff_length(P, levels)`` coefficients, all bands
+        concatenated in ``coeff_layout`` order: a vector for a vector, a
+        (G, C) stack for a stack. Each row is bit-identical to that row
+        transformed alone. Raises ValueError on an empty row.
     """
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("expected a 1-D vector")
+    if a.ndim not in (1, 2):
+        raise ValueError("expected a vector or a stack of rows")
+    rows = a[None] if a.ndim == 1 else a
     details = []
-    for _ in range(len(_level_lengths(a.size, levels)) - 1):
-        a, d = _analyze(a)
+    for _ in range(len(_level_lengths(rows.shape[1], levels)) - 1):
+        rows, d = _analyze(rows)
         details.append(d)
-    return np.concatenate([a] + details[::-1]) if details else a.copy()
+    out = np.concatenate([rows] + details[::-1], axis=1) if details else rows.copy()
+    return out.reshape(a.shape[:-1] + out.shape[1:])
 
 
 def idwt(coeffs: np.ndarray, source_len: int, levels: int) -> np.ndarray:
-    """Inverse multi-level transform back to a flat parameter vector.
+    """Inverse multi-level transform back to a flat parameter vector, or to a
+    (G, P) stack from a (G, C) stack of coefficient rows.
 
     ``source_len`` and ``levels`` are the arguments the forward transform
-    saw. A coefficient array whose size is not ``coeff_length(source_len,
-    levels)`` raises ValueError("corrupt layout ...").
+    saw. Each row is bit-identical to that row inverted alone. A row whose
+    size is not ``coeff_length(source_len, levels)`` raises
+    ValueError("corrupt layout ...").
     """
     data = np.asarray(coeffs, dtype=np.float64)
     lens = _level_lengths(source_len, levels)
     want = coeff_length(source_len, levels)
-    if data.ndim != 1 or data.size != want:
-        raise ValueError("corrupt layout: %d coefficients, expected %d for length %d at %d levels"
-                         % (data.size, want, source_len, levels))
+    if data.ndim not in (1, 2) or data.shape[-1] != want:
+        raise ValueError("corrupt layout: shape %s, expected %d coefficients a row for length %d"
+                         " at %d levels" % (data.shape, want, source_len, levels))
     if len(lens) == 1:
         return data.copy()
-    a = data[: lens[-1]]
+    stack = data[None] if data.ndim == 1 else data
+    a = stack[:, : lens[-1]]
     start = lens[-1]
     for j in range(len(lens) - 1, 0, -1):
         # D_J comes first after the approximation, D_1 last; each level
         # synthesizes back to the input length of the level that made it.
-        a = _synthesize(a, data[start : start + lens[j]], lens[j - 1])
+        a = _synthesize(a, stack[:, start : start + lens[j]], lens[j - 1])
         start += lens[j]
-    return a
+    return a.reshape(data.shape[:-1] + (source_len,))

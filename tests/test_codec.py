@@ -24,11 +24,13 @@ from jwins.codec import (
     deserialize,
     elias_gamma_decode,
     elias_gamma_encode,
+    encode_index_sets,
     encode_indices,
     gaps_to_indices,
     indices_to_gaps,
     make_full_update,
     make_indexed_update,
+    make_indexed_updates,
     make_seed_update,
     read_message_dump,
     regenerate_indices,
@@ -413,9 +415,10 @@ class TestMessages:
 
     def test_decode_memory_is_bounded_by_the_window(self):
         """One uniform-random message at density 0.34 over 1,000,000 slots:
-        decoding it allocates its gaps and indices (about 5.4 MB) plus one
-        scan window's tables, not tables sized by the message (about 39 MB
-        when the whole stream was one window)."""
+        decoding it allocates its gaps, which become its indices in place
+        (2.7 MB), plus one scan window's tables: a 3.3 MB peak. Tables sized
+        by the message took about 39 MB, when the whole stream was one
+        window, and a second array for the indices 5.6 MB."""
         rng = np.random.default_rng(7)
         idx = np.flatnonzero(rng.random(1_000_000) < 0.34)
         blob = serialize(make_indexed_update(0, 0, idx, rng.normal(size=idx.size)))
@@ -425,7 +428,7 @@ class TestMessages:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 10**6
+        assert peak <= 4.5 * 10**6
         np.testing.assert_array_equal(u.indices, idx)
 
     @settings(max_examples=60, deadline=None)
@@ -696,3 +699,90 @@ class TestScanOracle:
             if u.indices is not None and u.indices.size:
                 assert u.indices[0] >= 0 and u.indices[-1] <= 2**32 - 1
                 assert np.all(np.diff(u.indices) > 0)
+
+
+def _python_gaps(indices) -> list[int]:
+    return [b - a for a, b in zip([-1] + list(indices), indices)]
+
+
+_INDEX_SETS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda i: [i]),  # k = 1
+    st.integers(1, 300).map(lambda c: list(range(c))),  # k = C
+    # Gaps near 2**32: small and near-maximal u32 indices together.
+    st.sets(st.one_of(st.integers(0, 64), st.integers(2**32 - 64, 2**32 - 1)),
+            max_size=12).map(sorted),
+    st.tuples(st.integers(1, 3000), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)).map(
+        lambda t: np.flatnonzero(np.random.default_rng(t[2]).random(t[0]) < t[1]).tolist()),
+)
+
+
+class TestGroupEncoder:
+    """``encode_index_sets`` codes several sets in one pass; each stream is
+    byte-aligned on its own, so the bytes are each set's alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sets=st.lists(_INDEX_SETS, min_size=1, max_size=8))
+    def test_equals_encode_indices_per_set(self, sets):
+        got = encode_index_sets([np.array(s, dtype=np.int64) for s in sets])
+        assert got == [encode_indices(np.array(s, dtype=np.int64)) for s in sets]
+        assert got == [_gamma_bytes(_python_gaps(s)) for s in sets]
+
+    def test_empty_group(self):
+        assert encode_index_sets([]) == []
+
+    def test_unsorted_set_rejected(self):
+        with pytest.raises(CodecError, match="not strictly increasing"):
+            encode_index_sets([[0, 5], [3, 3]])
+        with pytest.raises(CodecError, match="not strictly increasing"):
+            encode_index_sets([[2], [-1, 4]])
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_group_updates_serialize_as_single_ones(self, compressed):
+        rng = np.random.default_rng(12)
+        sets = [np.flatnonzero(rng.random(500) < p) for p in (0.05, 1.0, 0.3, 0.0)]
+        values = [rng.normal(size=s.size) for s in sets]
+        group = make_indexed_updates(3, [7, 8, 9, 10], sets, values, compressed)
+        single = [make_indexed_update(3, 7 + i, s, v, compressed)
+                  for i, (s, v) in enumerate(zip(sets, values))]
+        assert [serialize(u) for u in group] == [serialize(u) for u in single]
+
+
+class TestAllOnesStream:
+    """A stream of ceil(K / 8) bytes whose first K bits are ones is the
+    gaps of indices 0..K-1, read without the scan; any other stream takes
+    the scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.integers(0, 200), data=st.data())
+    def test_matches_reference(self, k, data):
+        nbytes = (k + 7) // 8
+        bits = ["1"] * k + [str(b) for b in data.draw(
+            st.lists(st.integers(0, 1), min_size=8 * nbytes - k, max_size=8 * nbytes - k))]
+        if k and data.draw(st.booleans()):
+            bits[data.draw(st.integers(0, k - 1))] = "0"
+        stream = _bit_bytes("".join(bits)) if bits else b""
+        delta = data.draw(st.sampled_from([-1, 0, 0, 1]))
+        if delta > 0:
+            stream += bytes([data.draw(st.integers(0, 255))])
+        elif delta < 0:
+            stream = stream[:-1]
+        assert _outcome(_scan_gamma, stream, 0, k) == _outcome(
+            _reference_scan_gamma, stream, 0, k)
+        want = _outcome(_reference_scan_gamma, stream, 0, k)
+        if want[0] != "error":
+            want = (np.cumsum(want[0], dtype=np.int64) - 1).tolist() if want[1] == len(
+                stream) else ("error", "length overrun")
+        try:
+            got = deserialize(_jwins_message(stream, k)).indices.tolist()
+        except CodecError as exc:
+            got = ("error", str(exc))
+        assert got == want
+
+    def test_read_without_the_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(codec, "_scan_window", no_scan)
+        for k in (1, 7, 8, 9, 20_000):
+            u = deserialize(serialize(make_indexed_update(0, 0, np.arange(k), np.zeros(k))))
+            np.testing.assert_array_equal(u.indices, np.arange(k))

@@ -18,6 +18,7 @@ from jwins.node import (
     NodeGroup,
     NodeState,
     ProtocolConfig,
+    finalize_group,
     finalize_round,
     prepare_round,
     sparse_average,
@@ -53,10 +54,22 @@ def _make_state(node_id, cfg, num_features=4, classes=2, samples=12,
     )
 
 
+# Each prepared node's group of one, until ``_finalize`` takes it back.
+_GROUPS = {}
+
+
 def _prepare(state, round_no, cfg):
     """Phase one for one node, as the group of one."""
-    [update] = prepare_round(NodeGroup.single(state), round_no, cfg)
+    _GROUPS[state] = group = NodeGroup.single(state)
+    [update] = prepare_round(group, round_no, cfg)
     return update
+
+
+def _finalize(state, inbox, weights, round_no, cfg):
+    """Phase two for the node's group of one: ``finalize_round``, then, for
+    jwins, the inverse transform of its averaged coefficients."""
+    [outcome] = finalize_group(_GROUPS.pop(state), [inbox], weights, round_no, cfg)
+    return outcome
 
 
 def _sync_round(states, weights, round_no, cfg):
@@ -65,7 +78,7 @@ def _sync_round(states, weights, round_no, cfg):
     outcomes = []
     for s in states:
         inbox = [updates[j] for j in weights.neighbors[s.node_id]]
-        outcomes.append(finalize_round(s, inbox, weights, round_no, cfg))
+        outcomes.append(_finalize(s, inbox, weights, round_no, cfg))
     return outcomes
 
 
@@ -325,7 +338,7 @@ class TestJwinsRound:
         x0 = state.model.get_flat()
         update = _prepare(state, 0, cfg)
         x_tau = state.model.get_flat()
-        finalize_round(state, [], W, 0, cfg)
+        _finalize(state, [], W, 0, cfg)
         np.testing.assert_array_equal(state.model.get_flat(), x_tau)
         coeffs = dwt(x_tau, state.levels)
         want = dwt(x0, state.levels)
@@ -346,7 +359,7 @@ class TestJwinsRound:
         pre_drift = dwt(x_start, s.levels) - s.ref
         updates = [_prepare(st, 1, cfg) for st in states]
         x_tau = s.model.get_flat()
-        finalize_round(s, [updates[1]], W, 1, cfg)
+        _finalize(s, [updates[1]], W, 1, cfg)
         x_next = s.model.get_flat()
         want = pre_drift + dwt(x_tau - x_start, s.levels)
         want[updates[0].indices] = 0.0
@@ -456,11 +469,53 @@ class TestDriftMatchesAccumulatedScores:
                                            rtol=0, atol=1e-12)
             for s, o, x1 in zip(states, oracles, x_tau):
                 inbox = [updates[j] for j in W.neighbors[s.node_id]]
-                finalize_round(s, inbox, W, r, cfg)
+                _finalize(s, inbox, W, r, cfg)
                 x_next = s.model.get_flat()
                 o.add_averaging(x1, x_next)
                 np.testing.assert_allclose(dwt(x_next, s.levels) - s.ref, o.scores,
                                            rtol=0, atol=1e-12)
+
+
+class TestGroupRound:
+    def _group(self, cfg, hidden=None):
+        """Three nodes whose parameters are rows of one matrix, as
+        ``sim.build_runtime`` lays them out, and their group."""
+        states = [_make_state(i, cfg, num_features=6, classes=3, samples=15, data_seed=70,
+                              hidden=hidden) for i in range(3)]
+        params = np.stack([s.model.theta for s in states])
+        for i, s in enumerate(states):
+            s.model = s.model.on(params[i])
+        group = NodeGroup(states, states[0].model.on(params),
+                          np.concatenate([s.X for s in states]),
+                          np.concatenate([s.y for s in states]))
+        return states, group
+
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_group_equals_single_nodes_with_an_empty_inbox(self, hidden):
+        """One group of three against three groups of one, for three
+        rounds in which node 1 receives nothing: node 1 stays exactly at
+        its post-training point, and every row equals its single-node run."""
+        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.1, tau=2))
+        W = _triangle_weights()
+        states, group = self._group(cfg, hidden)
+        singles, _ = self._group(cfg, hidden)
+        for r in range(3):
+            updates = prepare_round(group, r, cfg)
+            x_tau = states[1].model.get_flat()
+            inboxes = [[updates[j] for j in W.neighbors[i]] for i in range(3)]
+            inboxes[1] = []
+            outcomes = finalize_group(group, inboxes, W, r, cfg)
+            assert [oc.accepted for oc in outcomes] == [2, 0, 2]
+            np.testing.assert_array_equal(states[1].model.theta, x_tau)
+            single_updates = [_prepare(s, r, cfg) for s in singles]
+            for i, s in enumerate(singles):
+                inbox = [single_updates[j] for j in W.neighbors[i]] if i != 1 else []
+                _finalize(s, inbox, W, r, cfg)
+            assert [codec.serialize(u) for u in updates] == [
+                codec.serialize(u) for u in single_updates]
+            for a, b in zip(states, singles):
+                np.testing.assert_array_equal(a.model.theta, b.model.theta)
+                np.testing.assert_array_equal(a.ref, b.ref)
 
 
 class TestInboxValidation:

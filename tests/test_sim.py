@@ -6,9 +6,11 @@ real serialize/deserialize boundary every round.
 """
 
 import hashlib
+import importlib.util
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,30 @@ class TestRunDeterminism:
             rows[size, workers] = run(cfg)
         assert all(r == rows[4, 1] for r in rows.values())
 
+    @pytest.mark.parametrize("ablation", [None, "wavelet_on", "accumulation_on",
+                                          "random_cutoff_on", "metadata_compression_on"])
+    def test_jwins_groups_write_what_single_nodes_write(self, tmp_path, monkeypatch, ablation):
+        """A jwins round transforms, encodes and inverts a whole group at
+        once. One-node groups, groups of 2 with a ragged last one, and the
+        default single group of 5 write the same metrics and message dump,
+        serially and on a pool of 2."""
+        over = {"ablations": {ablation: False}} if ablation else {}
+        cfg = _tiny(n=5, rounds=4, eval_every=2, topology={"d": 2},
+                    model={"kind": "mlp", "hidden": 16}, **over)
+        params = sim.build_runtime(cfg).states[0].model.param_count
+        outputs = set()
+        for pool_min, sizes in [(params, [1] * 5), (2 * params, [2, 2, 1]),
+                                (POOL_MIN_PARAMS, [5])]:
+            monkeypatch.setattr(sim, "POOL_MIN_PARAMS", pool_min)
+            assert [len(g.states) for g in sim.build_runtime(cfg).groups] == sizes
+            for workers in (1, 2):
+                cfg.workers = workers
+                cfg.message_dump = str(tmp_path / "dump.bin")
+                run(cfg, out_path=tmp_path / "m.csv")
+                outputs.add(((tmp_path / "m.csv").read_bytes().split(b"\n", 1)[1],
+                             (tmp_path / "dump.bin").read_bytes()))
+        assert len(outputs) == 1
+
     def test_seeded_indices_built_twice_per_message(self, monkeypatch):
         """The sender builds its set once, and the simulator once more for
         all receivers of the decoded message."""
@@ -482,6 +508,27 @@ class TestGolden:
         head, body = path.read_bytes().split(b"\n", 1)
         assert head.startswith(b"# config: ")
         assert _digest(body) == want
+
+    @pytest.mark.parametrize("name, want", [
+        ("jwins-wide", "d41828a559704200"),
+        ("jwins-many", "8543beef5c2c709a"),
+        ("random-wide", "22ab54b984721213"),
+    ])
+    def test_benchmark_workload_body(self, tmp_path, name, want):
+        """The benchmark's workloads at seed 1, built by its own
+        ``perfbench/workloads.py``, which is only read."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # Registered while it runs, for its dataclass.
+        sys.modules[spec.name] = workloads
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        path = tmp_path / "metrics.csv"
+        run(config_from_dict(workloads.config_dict(workloads.WORKLOADS[name], 1)), out_path=path)
+        assert _digest(path.read_bytes().split(b"\n", 1)[1]) == want
 
     def test_message_dump(self, tmp_path):
         path = tmp_path / "dump.bin"
