@@ -1,4 +1,4 @@
-"""Per-node protocol logic for one synchronous gossip round.
+"""Protocol logic for one synchronous gossip round, per group of nodes.
 
 A round has two phases so that every node trains and builds its outgoing
 message before anyone averages:
@@ -10,15 +10,16 @@ message before anyone averages:
   ``finalize_round``, which averages in the shared domain; the averaged
   values become the members' parameters.
 
-Four algorithms share this skeleton: the wavelet protocol, full sharing,
-seeded random sampling in parameter space, and a memory-efficient Choco-SGD
-baseline with error compensation. The wavelet protocol transforms the
-parameters once a round and shares the coefficients that drifted most since
-the node last shared them (``sparsify.select_drift``), with a randomized
-cut-off; averaging the sparse updates needs no score bookkeeping, because
-the drift is read off the next round's transform. A group runs that
-transform, the gamma encode of its members' index sets and the inverse
-transform once for all its members; selection and averaging stay per node.
+Four algorithms share this skeleton, and each prepares and finalizes per
+group: the wavelet protocol, full sharing, seeded random sampling in
+parameter space, and a memory-efficient Choco-SGD baseline with error
+compensation. A group keeps its members' protocol memory as stacks with one
+row per member. The wavelet protocol transforms the group's parameters once
+a round and shares the coefficients that drifted most since the node last
+shared them (``sparsify.select_drift``), with a randomized cut-off;
+averaging the sparse updates needs no score bookkeeping, because the drift
+is read off the next round's transform. The other three share parameters.
+Selection and averaging stay per node.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class ProtocolConfig:
     ablations: Ablations = field(default_factory=Ablations)
 
     def __post_init__(self):
+        self.algo = Algo(self.algo)
         if not 0.0 < self.random_alpha <= 1.0:
             raise ValueError("random sampling fraction must lie in (0, 1]")
         if not 0.0 <= self.choco_gamma <= 1.0:
@@ -94,6 +96,14 @@ class ProtocolConfig:
             raise ValueError("choco sparsity must lie in (0, 1]")
         if self.wavelet_levels < 1:
             raise ValueError("wavelet levels must be >= 1")
+
+    @property
+    def shared_levels(self) -> int:
+        """Wavelet level count of the shared domain: ``wavelet_levels`` for
+        jwins, 0 (parameter space) when the wavelet is ablated and for every
+        other algorithm."""
+        wavelet = self.algo == Algo.JWINS and self.ablations.wavelet_on
+        return self.wavelet_levels if wavelet else 0
 
 
 @dataclass(frozen=True)
@@ -126,16 +136,10 @@ class RoundOutcome:
 
 
 class NodeState:
-    """Mutable per-node state: model, data slice, RNG streams, protocol
-    memory (the jwins reference coefficients or Choco mirrors), and the
-    scratch carried between the two phases of the current round.
-
-    ``levels`` is the wavelet level count of the shared domain: the
-    configured count for jwins, 0 (parameter space) when the wavelet is
-    ablated and for every other algorithm. ``ref`` holds, per coefficient,
-    its value when the node last shared it; the first ``prepare_round`` sets
-    it to the transform of the starting parameters.
-    """
+    """One node: its id, its parameter row, its local samples, its three RNG
+    streams, and ``coeff_len``, the length of the vector it shares. Its
+    protocol memory is a row of its group's stacks (``NodeGroup``); a state
+    does not refer to its group."""
 
     def __init__(self, node_id: int, model, cfg: ProtocolConfig,
                  X: np.ndarray, y: np.ndarray,
@@ -149,16 +153,7 @@ class NodeState:
         self.rng_data = rng_data
         self.rng_alpha = rng_alpha
         self.rng_misc = rng_misc
-        self.algo = cfg.algo
-        plen = model.param_count
-        jwins = cfg.algo == Algo.JWINS
-        self.levels = cfg.wavelet_levels if jwins and cfg.ablations.wavelet_on else 0
-        self.coeff_len = coeff_length(plen, self.levels)
-        self.ref = None
-        if cfg.algo == Algo.CHOCO:
-            self.choco_hat = np.zeros(plen)
-            self.choco_agg = np.zeros(plen)
-        self._pending = None
+        self.coeff_len = coeff_length(model.param_count, cfg.shared_levels)
 
 
 @dataclass(eq=False)
@@ -166,18 +161,33 @@ class NodeGroup:
     """Consecutive nodes that train, transform and encode as one stack.
 
     Row g of ``model.theta`` is ``states[g].model.theta``, and ``X``/``y``
-    hold the members' local samples back to back, in member order. For
-    jwins, ``coeffs`` holds the members' coefficients between the two
-    phases of a round, one row each: x_tau's transform after
-    ``prepare_round``, and after each member's ``finalize_round`` its
-    averaged coefficients, which ``finalize_group`` inverts.
+    hold the members' local samples back to back, in member order. Row g of
+    every other stack belongs to member g too.
+
+    Protocol memory, kept across rounds: for jwins, ``ref`` holds per
+    coefficient its value when the member last shared it (the first
+    ``prepare_round`` sets it to the transform of the starting parameters);
+    for Choco, ``choco_hat`` holds the member's public copy and
+    ``choco_agg`` the weighted sum of its neighborhood's.
+
+    The current round, between the two phases: ``shared`` is the stack in
+    the shared domain (x_tau's transform when ``cfg.shared_levels`` > 0,
+    x_tau itself otherwise), into whose rows ``finalize_round`` averages; ``sent`` holds Choco's sent
+    indices and values per member; ``alphas`` and ``outbound`` hold each
+    member's cut-off and update sizes.
     """
 
     states: list
     model: object
     X: np.ndarray
     y: np.ndarray
-    coeffs: np.ndarray | None = None
+    ref: np.ndarray | None = None
+    choco_hat: np.ndarray | None = None
+    choco_agg: np.ndarray | None = None
+    shared: np.ndarray | None = None
+    sent: list | None = None
+    alphas: list | None = None
+    outbound: list | None = None
 
     @classmethod
     def single(cls, state: NodeState) -> "NodeGroup":
@@ -195,82 +205,63 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[
     """Phase one for a group: local training, then each member's outgoing
     update, in member order.
 
-    The post-training parameters x_tau are kept as the model's own vector,
-    not a copy: nothing writes the model until the finalize phase sets
-    x_next.
+    Without a transform the shared stack is the model's own, not a copy:
+    nothing writes the model until the finalize phase averages into it.
     """
-    if cfg.algo == Algo.JWINS:
-        return _prepare_jwins(group, round_no, cfg)
-    group.train(cfg.sgd)
-    return [_outgoing(state, round_no, cfg) for state in group.states]
-
-
-def _prepare_jwins(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[SparseUpdate]:
-    """The wavelet protocol's phase one: one transform of the group's stack
-    after training (and, for a member without a reference, one before it),
-    then per member a cut-off and the coefficients that drifted most, and one
-    gamma encode of every member's index set."""
     states = group.states
-    levels = states[0].levels
-    fresh = [s for s in states if s.ref is None or not cfg.ablations.accumulation_on]
-    if fresh:
-        refs = dwt(np.stack([s.model.theta for s in fresh]), levels)
-        for state, ref in zip(fresh, refs):
-            state.ref = ref
+    theta = group.model.theta
+    levels = cfg.shared_levels
+    if cfg.algo == Algo.JWINS and (group.ref is None or not cfg.ablations.accumulation_on):
+        group.ref = dwt(theta, levels)
+    if cfg.algo == Algo.CHOCO and group.choco_hat is None:
+        group.choco_hat = np.zeros_like(theta)
+        group.choco_agg = np.zeros_like(theta)
     group.train(cfg.sgd)
-    group.coeffs = dwt(group.model.theta, levels)
-    alphas = []
-    index_sets = []
-    for state, coeffs in zip(states, group.coeffs):
-        if cfg.ablations.random_cutoff_on:
-            alphas.append(draw_alpha(cfg.alpha, state.rng_alpha))
+    shared = dwt(theta, levels) if levels else theta
+    senders = [s.node_id for s in states]
+    if cfg.algo == Algo.FULL:
+        alphas = [1.0] * len(states)
+        updates = [codec.make_full_update(round_no, sender, row.astype(np.float32))
+                   for sender, row in zip(senders, shared)]
+    elif cfg.algo == Algo.RANDOM:
+        alphas = [cfg.random_alpha] * len(states)
+        k = selection_size(cfg.random_alpha, shared.shape[1])
+        updates = []
+        for state, row in zip(states, shared):
+            seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
+            idx = random_indices(row.size, k, seed)
+            updates.append(codec.make_seed_update(round_no, state.node_id, seed,
+                                                  row[idx].astype(np.float32)))
+    else:
+        if cfg.algo == Algo.JWINS:
+            # The coefficients that drifted most since they were last shared.
+            if cfg.ablations.random_cutoff_on:
+                alphas = [draw_alpha(cfg.alpha, s.rng_alpha) for s in states]
+            else:
+                alphas = [cfg.alpha.mean()] * len(states)
+            source = shared
+            index_sets = [select_drift(row, ref, alpha)
+                          for row, ref, alpha in zip(shared, group.ref, alphas)]
+            compressed = cfg.ablations.metadata_compression_on
         else:
-            alphas.append(cfg.alpha.mean())
-        index_sets.append(select_drift(coeffs, state.ref, alphas[-1]))
-    updates = codec.make_indexed_updates(
-        round_no, [s.node_id for s in states], index_sets,
-        [coeffs[idx].astype(np.float32) for coeffs, idx in zip(group.coeffs, index_sets)],
-        compressed=cfg.ablations.metadata_compression_on,
-    )
-    for state, coeffs, alpha, update in zip(states, group.coeffs, alphas, updates):
-        state._pending = (state.model.theta, coeffs, None, alpha, Outbound.of(update))
+            # Choco: the largest entries of the residual against the
+            # member's public copy, which moves by what was sent.
+            alphas = [cfg.choco_alpha] * len(states)
+            source = theta - group.choco_hat
+            k = selection_size(cfg.choco_alpha, shared.shape[1])
+            index_sets = [top_indices(row, k) for row in source]
+            compressed = True
+        values = [row[idx].astype(np.float32) for row, idx in zip(source, index_sets)]
+        updates = codec.make_indexed_updates(round_no, senders, index_sets, values,
+                                             compressed=compressed)
+        if cfg.algo == Algo.CHOCO:
+            for hat, idx, vals in zip(group.choco_hat, index_sets, values):
+                hat[idx] += vals.astype(np.float64)
+            group.sent = list(zip(index_sets, values))
+    group.shared = shared
+    group.alphas = alphas
+    group.outbound = [Outbound.of(u) for u in updates]
     return updates
-
-
-def _outgoing(state: NodeState, round_no: int, cfg: ProtocolConfig) -> SparseUpdate:
-    """Select what a trained node of full sharing, random sampling or Choco
-    shares and build its update.
-
-    ``_pending`` keeps what ``finalize_round`` reads: x_tau, the node's own
-    values in the shared domain, the sent indices (Choco alone reads them),
-    the cut-off and the update's sizes; not the update itself.
-    """
-    x_tau = state.model.theta
-
-    if state.algo == Algo.FULL:
-        update = codec.make_full_update(round_no, state.node_id, x_tau.astype(np.float32))
-        state._pending = (x_tau, x_tau, None, 1.0, Outbound.of(update))
-        return update
-
-    if state.algo == Algo.RANDOM:
-        k = selection_size(cfg.random_alpha, state.coeff_len)
-        seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
-        idx = random_indices(state.coeff_len, k, seed)
-        update = codec.make_seed_update(
-            round_no, state.node_id, seed, x_tau[idx].astype(np.float32))
-        state._pending = (x_tau, x_tau, None, cfg.random_alpha, Outbound.of(update))
-        return update
-
-    if state.algo == Algo.CHOCO:
-        residual = x_tau - state.choco_hat
-        idx = top_indices(residual, selection_size(cfg.choco_alpha, state.coeff_len))
-        vals = residual[idx].astype(np.float32)
-        state.choco_hat[idx] += vals.astype(np.float64)
-        update = codec.make_indexed_update(round_no, state.node_id, idx, vals)
-        state._pending = (x_tau, vals, idx, cfg.choco_alpha, Outbound.of(update))
-        return update
-
-    raise ValueError("unknown algorithm %r" % (state.algo,))
 
 
 def _gather_contributions(state: NodeState, inbox, weights: MixingWeights,
@@ -358,50 +349,40 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
     return acc
 
 
-def finalize_round(state: NodeState, inbox, weights: MixingWeights,
-                   round_no: int, cfg: ProtocolConfig) -> RoundOutcome:
-    """Phase two for one node: average with the inbox and settle per-round
-    state. For jwins the averaged coefficients replace the node's row of its
-    group's ``coeffs``, and ``finalize_group`` turns them into parameters."""
-    if state._pending is None:
+def finalize_round(state: NodeState, inbox, weights: MixingWeights, round_no: int,
+                   cfg: ProtocolConfig, group: NodeGroup, row: int) -> RoundOutcome:
+    """Phase two for ``state``, member ``row`` of ``group``: average with the
+    inbox into its row of the group's ``shared`` stack. For jwins with the
+    wavelet on ``finalize_group`` turns that row into parameters; otherwise
+    the row is the parameters."""
+    outbound = group.outbound[row] if group.outbound else None
+    if outbound is None:
         raise RuntimeError("finalize_round called before prepare_round")
-    x_tau, shared, sent, alpha, outbound = state._pending
-    state._pending = None
+    group.outbound[row] = None
     degree = int(weights.neighbors[state.node_id].size)
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
-
-    if state.algo == Algo.JWINS:
-        # With nothing arrived the row is not inverted: the parameters stay
-        # exactly at the post-training point.
+    own = group.shared[row]
+    if cfg.algo != Algo.CHOCO:
+        # With nothing arrived the row keeps x_tau exactly.
         if contribs:
-            shared[:] = sparse_average(shared, contribs, weights, state.node_id)
-    elif state.algo in (Algo.FULL, Algo.RANDOM):
-        x_next = sparse_average(shared, contribs, weights, state.node_id)
-        state.model.set_flat(x_next)
-    elif state.algo == Algo.CHOCO:
+            own[:] = sparse_average(own, contribs, weights, state.node_id)
+    else:
         # The aggregate tracks sum_j w_ij x_hat_j (self included); every
         # broadcast residual q_j advances x_hat_j, so folding w * q_j in
         # keeps it current without storing any neighbor mirror.
-        w_self = float(weights.self_weight[state.node_id])
-        if sent.size:
-            state.choco_agg[sent] += w_self * shared.astype(np.float64)
-        for sender, idx, values in contribs:
-            w = weights.weight(state.node_id, sender)
-            v = values.astype(np.float64)
-            if idx is None:
-                state.choco_agg += w * v
-            else:
-                state.choco_agg[idx] += w * v
-        x_next = x_tau + cfg.choco_gamma * (state.choco_agg - state.choco_hat)
-        state.model.set_flat(x_next)
-    else:
-        raise ValueError("unknown algorithm %r" % (state.algo,))
+        agg = group.choco_agg[row]
+        sent, values = group.sent[row]
+        agg[sent] += float(weights.self_weight[state.node_id]) * values.astype(np.float64)
+        for sender, idx, vals in contribs:
+            # A dense update's indices are None, and agg[None] views every slot.
+            agg[idx] += weights.weight(state.node_id, sender) * vals.astype(np.float64)
+        own += cfg.choco_gamma * (agg - group.choco_hat[row])
 
     return RoundOutcome(
         outbound=outbound,
         bytes_sent=outbound.byte_size * degree,
         meta_bytes=outbound.meta_bytes * degree,
-        alpha_used=float(alpha),
+        alpha_used=float(group.alphas[row]),
         rejected=rejected,
         accepted=len(contribs),
     )
@@ -410,17 +391,19 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights,
 def finalize_group(group: NodeGroup, inboxes, weights: MixingWeights,
                    round_no: int, cfg: ProtocolConfig) -> list[RoundOutcome]:
     """Phase two for a group: each member's ``finalize_round`` with its
-    inbox, in member order. For jwins, then one inverse transform of the
-    coefficient rows of every member that averaged anything."""
-    outcomes = [finalize_round(state, inbox, weights, round_no, cfg)
-                for state, inbox in zip(group.states, inboxes, strict=True)]
-    coeffs, group.coeffs = group.coeffs, None
-    if coeffs is not None:
+    inbox, in member order. For jwins with the wavelet on, then one inverse
+    transform of the rows of every member that averaged anything; a member
+    that received nothing stays exactly at x_tau."""
+    outcomes = [finalize_round(state, inbox, weights, round_no, cfg, group, g)
+                for g, (state, inbox) in enumerate(zip(group.states, inboxes, strict=True))]
+    shared = group.shared
+    group.shared = group.sent = group.alphas = group.outbound = None
+    levels = cfg.shared_levels
+    if levels:
         rows = [g for g, oc in enumerate(outcomes) if oc.accepted]
         plen = group.model.param_count
-        levels = group.states[0].levels
         if len(rows) == len(outcomes):
-            group.model.theta[:] = idwt(coeffs, plen, levels)
+            group.model.theta[:] = idwt(shared, plen, levels)
         elif rows:
-            group.model.theta[rows] = idwt(coeffs[rows], plen, levels)
+            group.model.theta[rows] = idwt(shared[rows], plen, levels)
     return outcomes

@@ -8,12 +8,12 @@ is byte-exact and the codec is exercised on every message.
 
 Every node's parameters are one row of a single (n, P) matrix, and both
 phases work on groups of consecutive nodes (``node.NodeGroup``): each group
-trains as one stack, and a jwins group transforms, gamma-encodes and
-inverts its members' rows in one call each. Small models are grouped up to
-about ``POOL_MIN_PARAMS`` parameters a group, so many small nodes cost a
-few stacked calls instead of one short call each; a model of that size or
-more is a group of its own. Decoding runs per message and evaluation per
-node.
+trains as one stack, keeps its members' protocol memory as stacks, and for
+jwins transforms, gamma-encodes and inverts its members' rows in one call
+each. Small models are grouped up to about ``POOL_MIN_PARAMS`` parameters a
+group, so many small nodes cost a few stacked calls instead of one short
+call each; a model of that size or more is a group of its own. Decoding
+runs per message and evaluation per node.
 
 With ``workers`` above 1 a thread pool maps the groups of both phases, the
 decoding of each round's messages and the evaluations; numpy and BLAS

@@ -71,13 +71,15 @@ def coeff_length(source_len: int, levels: int) -> int:
     return lens[-1] + sum(lens[1:])
 
 
-def _analyze(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _analyze(a: np.ndarray, detail: np.ndarray) -> np.ndarray:
     # Each row gets its own half-sample symmetric extension by 3 on both
     # ends; the extended rows, laid end to end, are correlated densely in
     # one call per band, and each row keeps its own outputs at odd phase,
     # floor((n + 3) / 2) per band. Every kept output is a full 4-tap product
     # inside its own row, so it equals the row's transform alone. A level
-    # only runs when n >= FILTER_LEN.
+    # only runs when n >= FILTER_LEN. The detail band is written into
+    # ``detail`` before the approximation is correlated, so the two dense
+    # correlation buffers never coexist; the approximation is returned.
     rows, n = a.shape
     ext = np.concatenate([a[:, 2::-1], a, a[:, :-4:-1]], axis=1).ravel()
     # Row g's outputs start at g * (n + 6); its kept ones are every other
@@ -86,9 +88,8 @@ def _analyze(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # argument handling.
     shape = (rows, (n + 3) // 2)
     strides = (8 * (n + 6), 16)
-    lo = np.ndarray(shape, np.float64, np.correlate(ext, FILTER_LO[::-1], "valid"), 8, strides)
-    hi = np.ndarray(shape, np.float64, np.correlate(ext, FILTER_HI[::-1], "valid"), 8, strides)
-    return lo, hi
+    detail[:] = np.ndarray(shape, np.float64, np.correlate(ext, FILTER_HI[::-1], "valid"), 8, strides)
+    return np.ndarray(shape, np.float64, np.correlate(ext, FILTER_LO[::-1], "valid"), 8, strides)
 
 
 def _synthesize(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
@@ -138,11 +139,17 @@ def dwt(x: np.ndarray, levels: int) -> np.ndarray:
     if a.ndim not in (1, 2):
         raise ValueError("expected a vector or a stack of rows")
     rows = a[None] if a.ndim == 1 else a
-    details = []
-    for _ in range(len(_level_lengths(rows.shape[1], levels)) - 1):
-        rows, d = _analyze(rows)
-        details.append(d)
-    out = np.concatenate([rows] + details[::-1], axis=1) if details else rows.copy()
+    lens = _level_lengths(rows.shape[1], levels)
+    if len(lens) == 1:
+        return a.copy()
+    # Each level writes its detail band into its slot, from D_1 at the end
+    # backwards, so no band outlives the level that made it.
+    out = np.empty((rows.shape[0], coeff_length(rows.shape[1], levels)))
+    end = out.shape[1]
+    for band_len in lens[1:]:
+        rows = _analyze(rows, out[:, end - band_len : end])
+        end -= band_len
+    out[:, :end] = rows
     return out.reshape(a.shape[:-1] + out.shape[1:])
 
 

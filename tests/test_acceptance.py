@@ -20,7 +20,7 @@ import pytest
 from jwins import codec
 from jwins.graph import generate_regular, metropolis_hastings
 from jwins.learner import SGDConfig, make_model, synth_blobs
-from jwins.node import (Algo, NodeGroup, NodeState, ProtocolConfig, finalize_round,
+from jwins.node import (Algo, NodeGroup, NodeState, ProtocolConfig, finalize_group,
                         prepare_round)
 from jwins.sim import (
     ConfigError,
@@ -258,10 +258,12 @@ def test_criterion_08_choco_sanity():
                                np.random.default_rng([8, i, 0]),
                                np.random.default_rng([8, i, 1]),
                                np.random.default_rng([8, i, 2])))
+    # One group per node, kept across rounds: it holds the node's Choco memory.
+    groups = [NodeGroup.single(s) for s in nodes]
     for t in range(200):
-        ups = [u for s in nodes for u in prepare_round(NodeGroup.single(s), t, pcfg)]
-        for s in nodes:
-            finalize_round(s, [ups[j] for j in W.neighbors[s.node_id]],
+        ups = [u for g in groups for u in prepare_round(g, t, pcfg)]
+        for g in groups:
+            finalize_group(g, [[ups[j] for j in W.neighbors[g.states[0].node_id]]],
                            W, t, pcfg)
     dev = float(np.max(np.abs(
         np.array([s.model.get_flat() for s in nodes]) - 3.5)))

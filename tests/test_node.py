@@ -54,21 +54,34 @@ def _make_state(node_id, cfg, num_features=4, classes=2, samples=12,
     )
 
 
-# Each prepared node's group of one, until ``_finalize`` takes it back.
+# Each node's group of one, kept across rounds: it holds the node's
+# protocol memory. Emptied after every test.
 _GROUPS = {}
+
+
+@pytest.fixture(autouse=True)
+def _forget_groups():
+    yield
+    _GROUPS.clear()
+
+
+def _group(state):
+    """The node's group of one."""
+    if state not in _GROUPS:
+        _GROUPS[state] = NodeGroup.single(state)
+    return _GROUPS[state]
 
 
 def _prepare(state, round_no, cfg):
     """Phase one for one node, as the group of one."""
-    _GROUPS[state] = group = NodeGroup.single(state)
-    [update] = prepare_round(group, round_no, cfg)
+    [update] = prepare_round(_group(state), round_no, cfg)
     return update
 
 
 def _finalize(state, inbox, weights, round_no, cfg):
     """Phase two for the node's group of one: ``finalize_round``, then, for
     jwins, the inverse transform of its averaged coefficients."""
-    [outcome] = finalize_group(_GROUPS.pop(state), [inbox], weights, round_no, cfg)
+    [outcome] = finalize_group(_group(state), [inbox], weights, round_no, cfg)
     return outcome
 
 
@@ -283,7 +296,7 @@ class TestRandomSampling:
         states = [_make_state(0, cfg, num_features=9, init=a),
                   _make_state(1, cfg, num_features=9, init=b)]
         updates = [_prepare(s, 0, cfg) for s in states]
-        finalize_round(states[0], [updates[1]], W, 0, cfg)
+        finalize_round(states[0], [updates[1]], W, 0, cfg, _group(states[0]), 0)
         idx = random_indices(20, selection_size(0.3, 20), updates[1].seed)
         want = a.copy()
         want[idx] = 0.5 * a[idx] + 0.5 * b[idx].astype(np.float32)
@@ -340,10 +353,10 @@ class TestJwinsRound:
         x_tau = state.model.get_flat()
         _finalize(state, [], W, 0, cfg)
         np.testing.assert_array_equal(state.model.get_flat(), x_tau)
-        coeffs = dwt(x_tau, state.levels)
-        want = dwt(x0, state.levels)
+        coeffs = dwt(x_tau, cfg.shared_levels)
+        want = dwt(x0, cfg.shared_levels)
         want[update.indices] = coeffs[update.indices]
-        np.testing.assert_array_equal(state.ref, want)
+        np.testing.assert_array_equal(_group(state).ref[0], want)
         np.testing.assert_array_equal(update.values, coeffs[update.indices].astype(np.float32))
 
     def test_score_bookkeeping_after_real_round(self):
@@ -356,15 +369,17 @@ class TestJwinsRound:
         _sync_round(states, W, 0, cfg)  # warm up so the drift is nonzero
         s = states[0]
         x_start = s.model.get_flat()
-        pre_drift = dwt(x_start, s.levels) - s.ref
+        levels = cfg.shared_levels
+        pre_drift = dwt(x_start, levels) - _group(s).ref[0]
         updates = [_prepare(st, 1, cfg) for st in states]
         x_tau = s.model.get_flat()
         _finalize(s, [updates[1]], W, 1, cfg)
         x_next = s.model.get_flat()
-        want = pre_drift + dwt(x_tau - x_start, s.levels)
+        want = pre_drift + dwt(x_tau - x_start, levels)
         want[updates[0].indices] = 0.0
-        want += dwt(x_next - x_tau, s.levels)
-        np.testing.assert_allclose(dwt(x_next, s.levels) - s.ref, want, rtol=0, atol=1e-12)
+        want += dwt(x_next - x_tau, levels)
+        np.testing.assert_allclose(dwt(x_next, levels) - _group(s).ref[0], want,
+                                   rtol=0, atol=1e-12)
         assert np.any(pre_drift != 0.0)
 
     def test_round_trip_changes_all_nodes(self):
@@ -455,8 +470,9 @@ class TestDriftMatchesAccumulatedScores:
         W = metropolis_hastings(generate_regular(4, 2, seed=3))
         states = [_make_state(i, cfg, num_features=16, classes=4, samples=20, data_seed=60)
                   for i in range(4)]
-        oracles = [_AccumulatedScores(s.coeff_len, s.levels, accumulation_on) for s in states]
-        assert states[0].levels == (4 if wavelet_on else 0)
+        levels = cfg.shared_levels
+        oracles = [_AccumulatedScores(s.coeff_len, levels, accumulation_on) for s in states]
+        assert levels == (4 if wavelet_on else 0)
         for r in range(8):
             before = [s.model.get_flat() for s in states]
             updates = [_prepare(s, r, cfg) for s in states]
@@ -465,14 +481,14 @@ class TestDriftMatchesAccumulatedScores:
                 o.add_training(x0, x1)
                 np.testing.assert_array_equal(u.indices, top_indices(o.scores, u.k))
                 o.scores[u.indices] = 0.0
-                np.testing.assert_allclose(dwt(x1, s.levels) - s.ref, o.scores,
+                np.testing.assert_allclose(dwt(x1, levels) - _group(s).ref[0], o.scores,
                                            rtol=0, atol=1e-12)
             for s, o, x1 in zip(states, oracles, x_tau):
                 inbox = [updates[j] for j in W.neighbors[s.node_id]]
                 _finalize(s, inbox, W, r, cfg)
                 x_next = s.model.get_flat()
                 o.add_averaging(x1, x_next)
-                np.testing.assert_allclose(dwt(x_next, s.levels) - s.ref, o.scores,
+                np.testing.assert_allclose(dwt(x_next, levels) - _group(s).ref[0], o.scores,
                                            rtol=0, atol=1e-12)
 
 
@@ -491,11 +507,14 @@ class TestGroupRound:
         return states, group
 
     @pytest.mark.parametrize("hidden", [None, 8])
-    def test_group_equals_single_nodes_with_an_empty_inbox(self, hidden):
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_group_equals_single_nodes_with_an_empty_inbox(self, algo, hidden):
         """One group of three against three groups of one, for three
-        rounds in which node 1 receives nothing: node 1 stays exactly at
-        its post-training point, and every row equals its single-node run."""
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.1, tau=2))
+        rounds in which node 1 receives nothing: the messages, every
+        member's parameters and its rows of the group's protocol memory
+        equal its single-node run, and outside Choco node 1 stays exactly at
+        its post-training point."""
+        cfg = ProtocolConfig(algo=algo, sgd=SGDConfig(eta=0.1, tau=2))
         W = _triangle_weights()
         states, group = self._group(cfg, hidden)
         singles, _ = self._group(cfg, hidden)
@@ -506,16 +525,23 @@ class TestGroupRound:
             inboxes[1] = []
             outcomes = finalize_group(group, inboxes, W, r, cfg)
             assert [oc.accepted for oc in outcomes] == [2, 0, 2]
-            np.testing.assert_array_equal(states[1].model.theta, x_tau)
+            if algo != Algo.CHOCO:
+                np.testing.assert_array_equal(states[1].model.theta, x_tau)
             single_updates = [_prepare(s, r, cfg) for s in singles]
             for i, s in enumerate(singles):
                 inbox = [single_updates[j] for j in W.neighbors[i]] if i != 1 else []
                 _finalize(s, inbox, W, r, cfg)
             assert [codec.serialize(u) for u in updates] == [
                 codec.serialize(u) for u in single_updates]
-            for a, b in zip(states, singles):
-                np.testing.assert_array_equal(a.model.theta, b.model.theta)
-                np.testing.assert_array_equal(a.ref, b.ref)
+            for i, s in enumerate(singles):
+                np.testing.assert_array_equal(states[i].model.theta, s.model.theta)
+                for name in ("ref", "choco_hat", "choco_agg"):
+                    memory = getattr(group, name)
+                    assert (memory is None) == (getattr(_group(s), name) is None), name
+                    if memory is not None:
+                        np.testing.assert_array_equal(memory[i], getattr(_group(s), name)[0])
+        assert (group.ref is not None) == (algo == Algo.JWINS)
+        assert (group.choco_hat is not None) == (algo == Algo.CHOCO)
 
 
 class TestInboxValidation:
@@ -531,7 +557,7 @@ class TestInboxValidation:
         stale = codec.make_indexed_update(4, 1, np.array([0]),
                                           np.array([9.0], dtype=np.float32))
         x_tau = states[0].model.get_flat()
-        oc = finalize_round(states[0], [stale], W, 5, cfg)
+        oc = finalize_round(states[0], [stale], W, 5, cfg, _group(states[0]), 0)
         assert oc.rejected == 1
         np.testing.assert_array_equal(states[0].model.get_flat(), x_tau)
 
@@ -540,7 +566,7 @@ class TestInboxValidation:
         _prepare(states[0], 0, cfg)
         alien = codec.make_indexed_update(0, 7, np.array([0]),
                                           np.array([9.0], dtype=np.float32))
-        oc = finalize_round(states[0], [alien], W, 0, cfg)
+        oc = finalize_round(states[0], [alien], W, 0, cfg, _group(states[0]), 0)
         assert oc.rejected == 1
 
     def test_out_of_range_indices_rejected(self):
@@ -548,7 +574,7 @@ class TestInboxValidation:
         _prepare(states[0], 0, cfg)
         bad = codec.make_indexed_update(0, 1, np.array([10_000]),
                                         np.array([9.0], dtype=np.float32))
-        oc = finalize_round(states[0], [bad], W, 0, cfg)
+        oc = finalize_round(states[0], [bad], W, 0, cfg, _group(states[0]), 0)
         assert oc.rejected == 1
 
     def test_seed_update_longer_than_slots_rejected(self):
@@ -562,7 +588,7 @@ class TestInboxValidation:
             0, 1, 42, np.ones(11, dtype=np.float32))))
         codec.regenerate_indices(long, state.coeff_len)
         assert long.indices is None
-        oc = finalize_round(state, [long], W, 0, cfg)
+        oc = finalize_round(state, [long], W, 0, cfg, _group(state), 0)
         assert oc.rejected == 1
         np.testing.assert_array_equal(state.model.get_flat(), np.zeros(10))
 
@@ -572,12 +598,16 @@ class TestInboxValidation:
         u = codec.make_indexed_update(0, 1, np.array([0]),
                                       np.array([1.0], dtype=np.float32))
         with pytest.raises(ValueError, match="duplicate sender"):
-            finalize_round(states[0], [u, u], W, 0, cfg)
+            finalize_round(states[0], [u, u], W, 0, cfg, _group(states[0]), 0)
 
     def test_finalize_before_prepare(self):
         cfg, W, states = self._jwins_pair()
         with pytest.raises(RuntimeError, match="before prepare_round"):
-            finalize_round(states[0], [], W, 0, cfg)
+            finalize_round(states[0], [], W, 0, cfg, _group(states[0]), 0)
+        _prepare(states[0], 0, cfg)
+        finalize_round(states[0], [], W, 0, cfg, _group(states[0]), 0)
+        with pytest.raises(RuntimeError, match="before prepare_round"):
+            finalize_round(states[0], [], W, 0, cfg, _group(states[0]), 0)
 
 
 class TestChoco:

@@ -5,11 +5,13 @@ low-dimensional blobs) so the whole file stays fast while still crossing the
 real serialize/deserialize boundary every round.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -280,18 +282,22 @@ class TestRunDeterminism:
         assert rows1 == rows3
 
     @pytest.mark.parametrize("algo", ["jwins", "full", "random", "choco"])
-    def test_group_size_invariant(self, monkeypatch, algo):
-        """Training groups of 1, 2 and all 4 nodes write the same rows, also
-        with the pool mapping groups of 2."""
-        cfg = _tiny(algo=algo, model={"kind": "mlp", "hidden": 16}, sgd={"batch_size": 9})
-        params = sim.build_runtime(cfg).states[0].model.param_count
-        rows = {}
-        for size, workers in [(4, 1), (1, 1), (2, 1), (2, 3)]:
-            monkeypatch.setattr(sim, "POOL_MIN_PARAMS", size * params)
-            cfg.workers = workers
-            assert [len(g.states) for g in sim.build_runtime(cfg).groups] == [size] * (4 // size)
-            rows[size, workers] = run(cfg)
-        assert all(r == rows[4, 1] for r in rows.values())
+    def test_group_size_invariant(self, tmp_path, monkeypatch, algo):
+        """Groups of 1, 2 and all 4 nodes, and at n=5 groups of 2 with a
+        ragged last one and the single group of 5, write the same rows and
+        message dump, also with the pool mapping groups of 2."""
+        for n, layouts in [(4, [(4, 1), (1, 1), (2, 1), (2, 3)]), (5, [(5, 1), (2, 1), (2, 3)])]:
+            cfg = _tiny(algo=algo, n=n, model={"kind": "mlp", "hidden": 16},
+                        sgd={"batch_size": 9}, message_dump=str(tmp_path / "dump.bin"))
+            params = sim.build_runtime(cfg).states[0].model.param_count
+            outputs = []
+            for size, workers in layouts:
+                monkeypatch.setattr(sim, "POOL_MIN_PARAMS", size * params)
+                cfg.workers = workers
+                sizes = [min(size, n - a) for a in range(0, n, size)]
+                assert [len(g.states) for g in sim.build_runtime(cfg).groups] == sizes
+                outputs.append((run(cfg), (tmp_path / "dump.bin").read_bytes()))
+            assert all(out == outputs[0] for out in outputs), n
 
     @pytest.mark.parametrize("ablation", [None, "wavelet_on", "accumulation_on",
                                           "random_cutoff_on", "metadata_compression_on"])
@@ -472,6 +478,28 @@ class TestRunMemory:
         params = 48 * 1024 + 1024 + 1024 * 10 + 10
         assert peak / (8 * params) < 42.0
 
+    @pytest.mark.parametrize("algo", ["jwins", "full", "random", "choco"])
+    def test_nothing_forms_a_reference_cycle(self, algo):
+        """A dropped runtime and a finished run free their groups, states and
+        models by reference counting alone: with the cyclic collector off,
+        their weak references die and the collector then finds nothing. A
+        cycle (a state pointing back at its group, say) would keep every
+        dropped run's parameters until the next collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            rt = sim.build_runtime(_tiny(algo=algo))
+            refs = [weakref.ref(obj) for obj in (rt, rt.groups[0], rt.states[0],
+                                                 rt.states[0].model, rt.groups[0].model)]
+            del rt
+            rows, states = run(_tiny(algo=algo), return_states=True)
+            refs += [weakref.ref(states[0]), weakref.ref(states[0].model)]
+            del rows, states
+            assert all(ref() is None for ref in refs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -530,10 +558,16 @@ class TestGolden:
         run(config_from_dict(workloads.config_dict(workloads.WORKLOADS[name], 1)), out_path=path)
         assert _digest(path.read_bytes().split(b"\n", 1)[1]) == want
 
-    def test_message_dump(self, tmp_path):
+    @pytest.mark.parametrize("algo, want", [
+        ("jwins", "a2c0e7cd0326ec98"),
+        ("full", "306169379578b073"),
+        ("random", "9f2e85d2b4d20a37"),
+        ("choco", "3e1e095ab440cc24"),
+    ])
+    def test_message_dump(self, tmp_path, algo, want):
         path = tmp_path / "dump.bin"
-        run(_tiny(rounds=3, message_dump=str(path)))
-        assert _digest(path.read_bytes()) == "a2c0e7cd0326ec98"
+        run(_tiny(algo=algo, rounds=3, message_dump=str(path)))
+        assert _digest(path.read_bytes()) == want
 
     def test_probe_body(self, tmp_path):
         path = tmp_path / "probe.csv"
