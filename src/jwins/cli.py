@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .node import Algo
 from .sim import compare, load_config, reconstruction_probe, run
 
 
@@ -17,7 +18,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment and write a metrics CSV")
     p_run.add_argument("--config", required=True, help="YAML config file")
-    p_run.add_argument("--algo", choices=["jwins", "full", "random", "choco"],
+    p_run.add_argument("--algo", choices=[a.value for a in Algo],
                        help="override the configured algorithm")
     p_run.add_argument("--rounds", type=int, help="override the configured round count")
     p_run.add_argument("--seed", type=int, help="override the configured run seed")

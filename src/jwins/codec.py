@@ -440,10 +440,6 @@ def _scan_gamma(data, start: int, count: int) -> tuple[np.ndarray, int]:
             and (rest == 0 or stream[full] >> (8 - rest) == (1 << rest) - 1)):
         return np.ones(count, dtype=np.int64), start + stream.size
     gaps = np.empty(count, dtype=np.uint64)
-    if 8 * stream.size <= _WINDOW_BITS:
-        # A last window that leaves codewords undecoded raises.
-        _, at = _scan_window(stream, 0, gaps, True)
-        return gaps.view(np.int64), start + (at + 7) // 8
     done = 0
     at = 0  # stream bit where codeword ``done`` starts
     while done < count:

@@ -10,6 +10,8 @@ message before anyone averages:
   ``finalize_round``, which averages in the shared domain; the averaged
   values become the members' parameters.
 
+Both phases read the run's ``sim.RunConfig``; ``sim`` checks its ranges.
+
 Four algorithms share this skeleton, and each prepares and finalizes per
 group: the wavelet protocol, full sharing, seeded random sampling in
 parameter space, and a memory-efficient Choco-SGD baseline with error
@@ -25,8 +27,9 @@ Selection and averaging stay per node.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .codec import CodecError, SparseUpdate
 from .graph import MixingWeights
 from .learner import SGDConfig, local_sgd
 from .sparsify import (
-    AlphaDistribution,
     draw_alpha,
     random_indices,
     select_drift,
@@ -43,6 +45,9 @@ from .sparsify import (
     top_indices,
 )
 from .wavelet import coeff_length, dwt, idwt
+
+if TYPE_CHECKING:
+    from .sim import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -71,39 +76,6 @@ class Ablations:
     accumulation_on: bool = True
     random_cutoff_on: bool = True
     metadata_compression_on: bool = True
-
-
-@dataclass
-class ProtocolConfig:
-    """Everything a node needs to run rounds, minus the graph."""
-
-    algo: Algo = Algo.JWINS
-    sgd: SGDConfig = field(default_factory=SGDConfig)
-    alpha: AlphaDistribution = field(default_factory=AlphaDistribution)
-    random_alpha: float = 0.37
-    choco_gamma: float = 0.6
-    choco_alpha: float = 0.2
-    wavelet_levels: int = 4
-    ablations: Ablations = field(default_factory=Ablations)
-
-    def __post_init__(self):
-        self.algo = Algo(self.algo)
-        if not 0.0 < self.random_alpha <= 1.0:
-            raise ValueError("random sampling fraction must lie in (0, 1]")
-        if not 0.0 <= self.choco_gamma <= 1.0:
-            raise ValueError("consensus step size must lie in [0, 1]")
-        if not 0.0 < self.choco_alpha <= 1.0:
-            raise ValueError("choco sparsity must lie in (0, 1]")
-        if self.wavelet_levels < 1:
-            raise ValueError("wavelet levels must be >= 1")
-
-    @property
-    def shared_levels(self) -> int:
-        """Wavelet level count of the shared domain: ``wavelet_levels`` for
-        jwins, 0 (parameter space) when the wavelet is ablated and for every
-        other algorithm."""
-        wavelet = self.algo == Algo.JWINS and self.ablations.wavelet_on
-        return self.wavelet_levels if wavelet else 0
 
 
 @dataclass(frozen=True)
@@ -141,7 +113,7 @@ class NodeState:
     protocol memory is a row of its group's stacks (``NodeGroup``); a state
     does not refer to its group."""
 
-    def __init__(self, node_id: int, model, cfg: ProtocolConfig,
+    def __init__(self, node_id: int, model, cfg: RunConfig,
                  X: np.ndarray, y: np.ndarray,
                  rng_data: np.random.Generator,
                  rng_alpha: np.random.Generator,
@@ -201,7 +173,7 @@ class NodeGroup:
                          sgd, [s.rng_data for s in self.states])
 
 
-def prepare_round(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[SparseUpdate]:
+def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[SparseUpdate]:
     """Phase one for a group: local training, then each member's outgoing
     update, in member order.
 
@@ -246,9 +218,9 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: ProtocolConfig) -> list[
         else:
             # Choco: the largest entries of the residual against the
             # member's public copy, which moves by what was sent.
-            alphas = [cfg.choco_alpha] * len(states)
+            alphas = [cfg.choco.alpha] * len(states)
             source = theta - group.choco_hat
-            k = selection_size(cfg.choco_alpha, shared.shape[1])
+            k = selection_size(cfg.choco.alpha, shared.shape[1])
             index_sets = [top_indices(row, k) for row in source]
             compressed = True
         values = [row[idx].astype(np.float32) for row, idx in zip(source, index_sets)]
@@ -350,7 +322,7 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
 
 
 def finalize_round(state: NodeState, inbox, weights: MixingWeights, round_no: int,
-                   cfg: ProtocolConfig, group: NodeGroup, row: int) -> RoundOutcome:
+                   cfg: RunConfig, group: NodeGroup, row: int) -> RoundOutcome:
     """Phase two for ``state``, member ``row`` of ``group``: average with the
     inbox into its row of the group's ``shared`` stack. For jwins with the
     wavelet on ``finalize_group`` turns that row into parameters; otherwise
@@ -376,7 +348,7 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights, round_no: in
         for sender, idx, vals in contribs:
             # A dense update's indices are None, and agg[None] views every slot.
             agg[idx] += weights.weight(state.node_id, sender) * vals.astype(np.float64)
-        own += cfg.choco_gamma * (agg - group.choco_hat[row])
+        own += cfg.choco.gamma * (agg - group.choco_hat[row])
 
     return RoundOutcome(
         outbound=outbound,
@@ -389,7 +361,7 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights, round_no: in
 
 
 def finalize_group(group: NodeGroup, inboxes, weights: MixingWeights,
-                   round_no: int, cfg: ProtocolConfig) -> list[RoundOutcome]:
+                   round_no: int, cfg: RunConfig) -> list[RoundOutcome]:
     """Phase two for a group: each member's ``finalize_round`` with its
     inbox, in member order. For jwins with the wavelet on, then one inverse
     transform of the rows of every member that averaged anything; a member

@@ -60,7 +60,6 @@ from .node import (
     Algo,
     NodeGroup,
     NodeState,
-    ProtocolConfig,
     finalize_group,
     prepare_round,
 )
@@ -107,6 +106,7 @@ class TopologyCfg:
 class ModelCfg:
     kind: str = "logreg"
     hidden: int = 64
+    # Std of the logreg init; the mlp ignores it (He initialization).
     init_scale: float = 0.01
 
 
@@ -162,6 +162,14 @@ class RunConfig:
         d["alpha"]["support"] = list(self.alpha.support)
         d["alpha"]["probs"] = list(self.alpha.probs)
         return d
+
+    @property
+    def shared_levels(self) -> int:
+        """Wavelet level count of the shared domain: ``wavelet_levels`` for
+        jwins, 0 (parameter space) when the wavelet is ablated and for every
+        other algorithm."""
+        wavelet = self.algo == Algo.JWINS and self.ablations.wavelet_on
+        return self.wavelet_levels if wavelet else 0
 
 
 _SECTION_TYPES = {
@@ -318,10 +326,14 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.n > 1 and d.classes * d.per_class < shards:
             raise ConfigError("synthetic data has %d training samples, too few to cut %d shards"
                               % (d.classes * d.per_class, shards))
-    try:
-        _protocol_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not 0.0 < cfg.random_alpha <= 1.0:
+        raise ConfigError("random sampling fraction must lie in (0, 1]")
+    if not 0.0 <= cfg.choco.gamma <= 1.0:
+        raise ConfigError("consensus step size must lie in [0, 1]")
+    if not 0.0 < cfg.choco.alpha <= 1.0:
+        raise ConfigError("choco sparsity must lie in (0, 1]")
+    if cfg.wavelet_levels < 1:
+        raise ConfigError("wavelet levels must be >= 1")
 
 
 def load_config(path, overrides=None) -> RunConfig:
@@ -364,23 +376,9 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _protocol_config(cfg: RunConfig) -> ProtocolConfig:
-    return ProtocolConfig(
-        algo=Algo(cfg.algo),
-        sgd=cfg.sgd,
-        alpha=cfg.alpha,
-        random_alpha=cfg.random_alpha,
-        choco_gamma=cfg.choco.gamma,
-        choco_alpha=cfg.choco.alpha,
-        wavelet_levels=cfg.wavelet_levels,
-        ablations=cfg.ablations,
-    )
-
-
 @dataclass(eq=False)
 class Runtime:
     cfg: RunConfig
-    pcfg: ProtocolConfig
     train: Dataset
     test: Dataset
     states: list
@@ -390,8 +388,8 @@ class Runtime:
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:
+    _validate(cfg)
     train, test = _load_data(cfg)
-    pcfg = _protocol_config(cfg)
     mcfg = cfg.model
     features = train.features.shape[1]
     classes = max(train.num_classes, 2)
@@ -413,7 +411,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     bounds = np.cumsum([0] + [p.size for p in parts]).tolist()
     states = [
         NodeState(
-            i, reference.on(params[i]), pcfg,
+            i, reference.on(params[i]), cfg,
             X[bounds[i] : bounds[i + 1]], y[bounds[i] : bounds[i + 1]],
             rng_data=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_DATA, i)),
             rng_alpha=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_ALPHA, i)),
@@ -434,7 +432,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         topology = Topology(1, 0, (np.empty(0, dtype=np.int64),), topo_seed)
     else:
         topology = generate_regular(cfg.n, cfg.topology.d, topo_seed)
-    return Runtime(cfg, pcfg, train, test, states, groups, topology, topo_seed)
+    return Runtime(cfg, train, test, states, groups, topology, topo_seed)
 
 
 def pool_size(workers: int | None, n: int, param_count: int, algo: str) -> int:
@@ -508,7 +506,7 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             # from here on the round holds a message as its wire bytes, the
             # decoded index set and values that view those bytes.
             blobs = [blob for group_blobs in pool_map(
-                lambda g: [codec.serialize(u) for u in prepare_round(g, t, rt.pcfg)],
+                lambda g: [codec.serialize(u) for u in prepare_round(g, t, cfg)],
                 rt.groups) for blob in group_blobs]
             if dump_fh is not None:
                 codec.write_message_dump(dump_fh, blobs)
@@ -516,7 +514,7 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             inboxes = [[wire[j] for j in topology.neighbors[i]] for i in range(n)]
             outcomes = [oc for group_outcomes in pool_map(
                 lambda g: finalize_group(g, [inboxes[s.node_id] for s in g.states],
-                                         weights, t, rt.pcfg),
+                                         weights, t, cfg),
                 rt.groups) for oc in group_outcomes]
             # Free the messages before evaluation and the next round's
             # training.
@@ -549,14 +547,20 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     return rows
 
 
+def _write_csv(path, cfg: RunConfig, lines: list[str]) -> None:
+    """Write ``lines`` below the run's ``# config:`` provenance line."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(["# config: " + json.dumps(cfg.resolved(), sort_keys=True)]
+                           + lines) + "\n")
+
+
 def write_metrics(path, cfg: RunConfig, rows) -> None:
-    lines = ["# config: " + json.dumps(cfg.resolved(), sort_keys=True), METRICS_HEADER]
+    lines = [METRICS_HEADER]
     for row in rows:
         rnd, node, loss, acc, b, m, alpha = row
         lines.append(",".join([str(int(rnd)), node, _fmt(loss), _fmt(acc),
                                _fmt(b), _fmt(m), _fmt(alpha)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, cfg, lines)
 
 
 def read_metrics(path) -> tuple[dict | None, list[dict]]:
@@ -636,13 +640,10 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
         cum_r += mse_r
         rows.append((t + 1, mse_w, mse_r, cum_w, cum_r))
     if out_path is not None:
-        lines = ["# config: " + json.dumps(cfg.resolved(), sort_keys=True),
-                 "# budget: %.10g" % budget,
-                 PROBE_HEADER]
+        lines = ["# budget: %.10g" % budget, PROBE_HEADER]
         for row in rows:
             lines.append(",".join([str(row[0])] + ["%.10g" % v for v in row[1:]]))
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(out_path, cfg, lines)
     return rows
 
 

@@ -20,10 +20,11 @@ import pytest
 from jwins import codec
 from jwins.graph import generate_regular, metropolis_hastings
 from jwins.learner import SGDConfig, make_model, synth_blobs
-from jwins.node import (Algo, NodeGroup, NodeState, ProtocolConfig, finalize_group,
-                        prepare_round)
+from jwins.node import NodeGroup, NodeState, finalize_group, prepare_round
 from jwins.sim import (
+    ChocoCfg,
     ConfigError,
+    RunConfig,
     build_runtime,
     config_from_dict,
     reconstruction_probe,
@@ -246,25 +247,25 @@ def test_criterion_08_choco_sanity():
 
     # gamma = 1 with the identity compressor, no training, constant vectors:
     # plain gossip, which must reach the mean by round 200.
-    pcfg = ProtocolConfig(algo=Algo.CHOCO, choco_gamma=1.0, choco_alpha=1.0,
-                          sgd=SGDConfig(eta=0.0, tau=1))
+    gossip = RunConfig(algo="choco", choco=ChocoCfg(gamma=1.0, alpha=1.0),
+                       sgd=SGDConfig(eta=0.0, tau=1))
     W = metropolis_hastings(generate_regular(8, 2, seed=3))
     nodes = []
     for i in range(8):
         blob = synth_blobs(2, 4, 6, seed=i)
         model = make_model("logreg", 4, 2)
         model.set_flat(np.full(model.param_count, float(i)))
-        nodes.append(NodeState(i, model, pcfg, blob.features, blob.labels,
+        nodes.append(NodeState(i, model, gossip, blob.features, blob.labels,
                                np.random.default_rng([8, i, 0]),
                                np.random.default_rng([8, i, 1]),
                                np.random.default_rng([8, i, 2])))
     # One group per node, kept across rounds: it holds the node's Choco memory.
     groups = [NodeGroup.single(s) for s in nodes]
     for t in range(200):
-        ups = [u for g in groups for u in prepare_round(g, t, pcfg)]
+        ups = [u for g in groups for u in prepare_round(g, t, gossip)]
         for g in groups:
             finalize_group(g, [[ups[j] for j in W.neighbors[g.states[0].node_id]]],
-                           W, t, pcfg)
+                           W, t, gossip)
     dev = float(np.max(np.abs(
         np.array([s.model.get_flat() for s in nodes]) - 3.5)))
 

@@ -17,12 +17,12 @@ from jwins.node import (
     Algo,
     NodeGroup,
     NodeState,
-    ProtocolConfig,
     finalize_group,
     finalize_round,
     prepare_round,
     sparse_average,
 )
+from jwins.sim import ChocoCfg, RunConfig
 from jwins.sparsify import random_indices, selection_size, top_indices
 from jwins.wavelet import dwt
 
@@ -235,7 +235,7 @@ class TestSparseAverage:
 class TestFullSharing:
     def test_two_node_average_oracle(self):
         """With eta=0 one round leaves both nodes at the f32 midpoint."""
-        cfg = ProtocolConfig(algo=Algo.FULL, sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="full", sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         a = np.linspace(-1, 1, 10)
         b = np.linspace(3, 5, 10)
@@ -247,7 +247,7 @@ class TestFullSharing:
 
     def test_consensus_preserves_mean(self):
         """Doubly stochastic mixing drives spread down, holds the mean."""
-        cfg = ProtocolConfig(algo=Algo.FULL, sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="full", sgd=SGDConfig(eta=0.0, tau=1))
         W = metropolis_hastings(generate_regular(5, 4, seed=4))
         rng = np.random.default_rng(5)
         inits = [rng.normal(size=10).astype(np.float32).astype(np.float64)
@@ -261,7 +261,7 @@ class TestFullSharing:
         np.testing.assert_allclose(flats.mean(axis=0), mean0, atol=1e-5)
 
     def test_bytes_accounting(self):
-        cfg = ProtocolConfig(algo=Algo.FULL, sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="full", sgd=SGDConfig(eta=0.0, tau=1))
         W = _triangle_weights()
         states = [_make_state(i, cfg) for i in range(3)]
         outcomes = _sync_round(states, W, 0, cfg)
@@ -276,8 +276,8 @@ class TestFullSharing:
 class TestRandomSampling:
     def test_byte_size_pin(self):
         """10000 parameters at fraction 0.37: 13 + 8 + 4 * 3700 bytes."""
-        cfg = ProtocolConfig(algo=Algo.RANDOM, random_alpha=0.37,
-                             sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="random", random_alpha=0.37,
+                        sgd=SGDConfig(eta=0.0, tau=1))
         state = _make_state(0, cfg, num_features=999, classes=10, samples=2)
         assert state.model.param_count == 10000
         update = _prepare(state, 0, cfg)
@@ -288,8 +288,8 @@ class TestRandomSampling:
     def test_receiver_regenerates_same_indices(self):
         """Only the seed crosses; the receiver's average matches a by-hand
         sparse average over the regenerated index set."""
-        cfg = ProtocolConfig(algo=Algo.RANDOM, random_alpha=0.3,
-                             sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="random", random_alpha=0.3,
+                        sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         a = np.arange(20.0)
         b = np.arange(20.0) + 100.0
@@ -306,21 +306,21 @@ class TestRandomSampling:
         """Fraction 1.0 covers every slot, so it must equal full sharing."""
         W = _triangle_weights()
         results = {}
-        for algo, kw in [(Algo.FULL, {}), (Algo.RANDOM, {"random_alpha": 1.0})]:
-            cfg = ProtocolConfig(algo=algo, sgd=SGDConfig(eta=0.03, tau=3), **kw)
+        for algo, kw in [("full", {}), ("random", {"random_alpha": 1.0})]:
+            cfg = RunConfig(algo=algo, sgd=SGDConfig(eta=0.03, tau=3), **kw)
             states = [_make_state(i, cfg, data_seed=40) for i in range(3)]
             for r in range(5):
                 _sync_round(states, W, r, cfg)
             results[algo] = [s.model.get_flat() for s in states]
-        for x, y in zip(results[Algo.FULL], results[Algo.RANDOM]):
+        for x, y in zip(results["full"], results["random"]):
             np.testing.assert_array_equal(x, y)
 
 
 class TestJwinsRound:
-    CFG = dict(algo=Algo.JWINS, sgd=SGDConfig(eta=0.05, tau=2))
+    CFG = dict(algo="jwins", sgd=SGDConfig(eta=0.05, tau=2))
 
     def test_outbound_shape_and_bytes(self):
-        cfg = ProtocolConfig(**self.CFG)
+        cfg = RunConfig(**self.CFG)
         state = _make_state(0, cfg)
         update = _prepare(state, 3, cfg)
         assert update.kind == codec.UpdateKind.JWINS_INDICES
@@ -331,7 +331,7 @@ class TestJwinsRound:
         assert update.meta_bytes == len(update.index_payload)
 
     def test_alpha_drawn_from_support(self):
-        cfg = ProtocolConfig(**self.CFG)
+        cfg = RunConfig(**self.CFG)
         W = _triangle_weights()
         states = [_make_state(i, cfg) for i in range(3)]
         seen = set()
@@ -345,7 +345,7 @@ class TestJwinsRound:
         """No arrivals: parameters land exactly on x_tau, the attempted
         selection's reference moves to its coefficients at x_tau, and every
         other reference stays at the starting point's transform."""
-        cfg = ProtocolConfig(**self.CFG)
+        cfg = RunConfig(**self.CFG)
         W = _pair_weights()
         state = _make_state(0, cfg)
         x0 = state.model.get_flat()
@@ -363,7 +363,7 @@ class TestJwinsRound:
         """After averaging, the drift equals the pre-round drift plus the
         transform of the training move, with the sent slots zeroed, plus the
         transform of the averaging correction."""
-        cfg = ProtocolConfig(**self.CFG)
+        cfg = RunConfig(**self.CFG)
         W = _pair_weights()
         states = [_make_state(i, cfg, data_seed=50) for i in range(2)]
         _sync_round(states, W, 0, cfg)  # warm up so the drift is nonzero
@@ -383,7 +383,7 @@ class TestJwinsRound:
         assert np.any(pre_drift != 0.0)
 
     def test_round_trip_changes_all_nodes(self):
-        cfg = ProtocolConfig(**self.CFG)
+        cfg = RunConfig(**self.CFG)
         W = _triangle_weights()
         states = [_make_state(i, cfg) for i in range(3)]
         before = [s.model.get_flat() for s in states]
@@ -393,7 +393,7 @@ class TestJwinsRound:
 
     def test_consensus_with_eta_zero(self):
         """Pure gossip (no training drift) still contracts the spread."""
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="jwins", sgd=SGDConfig(eta=0.0, tau=1))
         W = _triangle_weights()
         rng = np.random.default_rng(6)
         inits = [rng.normal(size=10) for _ in range(3)]
@@ -405,8 +405,8 @@ class TestJwinsRound:
         assert np.max(np.abs(flats - flats.mean(axis=0))) < 1e-3 * max(spread0, 1)
 
     def test_wavelet_off_shares_raw_slots(self):
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.0, tau=1),
-                             ablations=Ablations(wavelet_on=False))
+        cfg = RunConfig(algo="jwins", sgd=SGDConfig(eta=0.0, tau=1),
+                        ablations=Ablations(wavelet_on=False))
         init = np.zeros(10)
         init[4] = 7.0
         state = _make_state(0, cfg, init=init)
@@ -419,16 +419,16 @@ class TestJwinsRound:
             assert v == np.float32(init[i])
 
     def test_metadata_compression_off_uses_raw_indices(self):
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.01, tau=1),
-                             ablations=Ablations(metadata_compression_on=False))
+        cfg = RunConfig(algo="jwins", sgd=SGDConfig(eta=0.01, tau=1),
+                        ablations=Ablations(metadata_compression_on=False))
         state = _make_state(0, cfg)
         update = _prepare(state, 0, cfg)
         assert update.kind == codec.UpdateKind.RAW_INDICES
         assert update.meta_bytes == 4 * update.k
 
     def test_fixed_cutoff_ablation(self):
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.01, tau=1),
-                             ablations=Ablations(random_cutoff_on=False))
+        cfg = RunConfig(algo="jwins", sgd=SGDConfig(eta=0.01, tau=1),
+                        ablations=Ablations(random_cutoff_on=False))
         W = _triangle_weights()
         states = [_make_state(i, cfg) for i in range(3)]
         for r in range(5):
@@ -464,9 +464,9 @@ class TestDriftMatchesAccumulatedScores:
         """Eight rounds on a 4-node ring: every node's selection equals the
         top entries of the accumulated scores, and ``dwt(x) - ref`` equals
         those scores after the share and after averaging."""
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.1, tau=2),
-                             ablations=Ablations(wavelet_on=wavelet_on,
-                                                 accumulation_on=accumulation_on))
+        cfg = RunConfig(algo="jwins", sgd=SGDConfig(eta=0.1, tau=2),
+                        ablations=Ablations(wavelet_on=wavelet_on,
+                                            accumulation_on=accumulation_on))
         W = metropolis_hastings(generate_regular(4, 2, seed=3))
         states = [_make_state(i, cfg, num_features=16, classes=4, samples=20, data_seed=60)
                   for i in range(4)]
@@ -507,14 +507,14 @@ class TestGroupRound:
         return states, group
 
     @pytest.mark.parametrize("hidden", [None, 8])
-    @pytest.mark.parametrize("algo", list(Algo))
+    @pytest.mark.parametrize("algo", [a.value for a in Algo])
     def test_group_equals_single_nodes_with_an_empty_inbox(self, algo, hidden):
         """One group of three against three groups of one, for three
         rounds in which node 1 receives nothing: the messages, every
         member's parameters and its rows of the group's protocol memory
         equal its single-node run, and outside Choco node 1 stays exactly at
         its post-training point."""
-        cfg = ProtocolConfig(algo=algo, sgd=SGDConfig(eta=0.1, tau=2))
+        cfg = RunConfig(algo=algo, sgd=SGDConfig(eta=0.1, tau=2))
         W = _triangle_weights()
         states, group = self._group(cfg, hidden)
         singles, _ = self._group(cfg, hidden)
@@ -525,7 +525,7 @@ class TestGroupRound:
             inboxes[1] = []
             outcomes = finalize_group(group, inboxes, W, r, cfg)
             assert [oc.accepted for oc in outcomes] == [2, 0, 2]
-            if algo != Algo.CHOCO:
+            if algo != "choco":
                 np.testing.assert_array_equal(states[1].model.theta, x_tau)
             single_updates = [_prepare(s, r, cfg) for s in singles]
             for i, s in enumerate(singles):
@@ -540,13 +540,13 @@ class TestGroupRound:
                     assert (memory is None) == (getattr(_group(s), name) is None), name
                     if memory is not None:
                         np.testing.assert_array_equal(memory[i], getattr(_group(s), name)[0])
-        assert (group.ref is not None) == (algo == Algo.JWINS)
-        assert (group.choco_hat is not None) == (algo == Algo.CHOCO)
+        assert (group.ref is not None) == (algo == "jwins")
+        assert (group.choco_hat is not None) == (algo == "choco")
 
 
 class TestInboxValidation:
     def _jwins_pair(self):
-        cfg = ProtocolConfig(algo=Algo.JWINS, sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="jwins", sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         states = [_make_state(i, cfg, init=np.full(10, float(i))) for i in range(2)]
         return cfg, W, states
@@ -580,7 +580,7 @@ class TestInboxValidation:
     def test_seed_update_longer_than_slots_rejected(self):
         """A seeded update no set of the receiver's length can hold is a
         rejection, also after the per-message regeneration skipped it."""
-        cfg = ProtocolConfig(algo=Algo.RANDOM, sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="random", sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         state = _make_state(0, cfg, init=np.zeros(10))
         _prepare(state, 0, cfg)
@@ -613,8 +613,8 @@ class TestInboxValidation:
 class TestChoco:
     def test_gamma_zero_is_local_sgd(self):
         """gamma=0 must reproduce isolated local SGD bit for bit."""
-        cfg = ProtocolConfig(algo=Algo.CHOCO, choco_gamma=0.0, choco_alpha=0.2,
-                             sgd=SGDConfig(eta=0.05, tau=3, batch_size=4))
+        cfg = RunConfig(algo="choco", choco=ChocoCfg(gamma=0.0, alpha=0.2),
+                        sgd=SGDConfig(eta=0.05, tau=3, batch_size=4))
         W = _pair_weights()
         states = [_make_state(i, cfg, data_seed=60) for i in range(2)]
         refs = [_make_state(i, cfg, data_seed=60) for i in range(2)]
@@ -627,8 +627,8 @@ class TestChoco:
 
     def test_full_quantizer_consensus(self):
         """alpha=1 with eta=0 contracts geometrically at rate 1 - gamma."""
-        cfg = ProtocolConfig(algo=Algo.CHOCO, choco_gamma=0.6, choco_alpha=1.0,
-                             sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="choco", choco=ChocoCfg(gamma=0.6, alpha=1.0),
+                        sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         a = np.full(8, 1.0)
         b = np.full(8, 3.0)
@@ -640,8 +640,8 @@ class TestChoco:
         np.testing.assert_allclose(flats, 2.0, atol=1e-7)
 
     def test_sparse_choco_still_converges_to_consensus(self):
-        cfg = ProtocolConfig(algo=Algo.CHOCO, choco_gamma=0.3, choco_alpha=0.25,
-                             sgd=SGDConfig(eta=0.0, tau=1))
+        cfg = RunConfig(algo="choco", choco=ChocoCfg(gamma=0.3, alpha=0.25),
+                        sgd=SGDConfig(eta=0.0, tau=1))
         W = _triangle_weights()
         rng = np.random.default_rng(7)
         inits = [rng.normal(size=12) for _ in range(3)]
@@ -654,22 +654,9 @@ class TestChoco:
         assert spread < 1e-4
 
     def test_bytes_use_indexed_format(self):
-        cfg = ProtocolConfig(algo=Algo.CHOCO, choco_alpha=0.2,
-                             sgd=SGDConfig(eta=0.05, tau=1))
+        cfg = RunConfig(algo="choco", choco=ChocoCfg(alpha=0.2),
+                        sgd=SGDConfig(eta=0.05, tau=1))
         state = _make_state(0, cfg)
         update = _prepare(state, 0, cfg)
         assert update.kind == codec.UpdateKind.JWINS_INDICES
         assert update.k == selection_size(0.2, state.model.param_count)
-
-    def test_gamma_validation(self):
-        ProtocolConfig(algo=Algo.CHOCO, choco_gamma=0.6)
-        ProtocolConfig(algo=Algo.CHOCO, choco_gamma=0.1)
-        with pytest.raises(ValueError):
-            ProtocolConfig(choco_gamma=-0.1)
-        with pytest.raises(ValueError):
-            ProtocolConfig(choco_gamma=1.5)
-        with pytest.raises(ValueError):
-            ProtocolConfig(random_alpha=0.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(choco_alpha=0.0)
-

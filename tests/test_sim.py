@@ -25,6 +25,7 @@ from jwins.sim import (
     PROBE_HEADER,
     ConfigError,
     RunConfig,
+    TopologyCfg,
     compare,
     config_from_dict,
     load_config,
@@ -114,9 +115,13 @@ class TestConfig:
         ({"data": {"per_class": 0}, "n": 1}, "data.per_class must be positive"),
         ({"data": {"test_per_class": 0}}, "data.test_per_class must be positive"),
         ({"model": {"kind": "mlp", "hidden": 0}}, "model.hidden must be positive"),
+        ({"random_alpha": 0}, "random sampling fraction must lie in"),
+        ({"choco": {"gamma": 1.5}}, "consensus step size must lie in"),
+        ({"choco": {"gamma": -0.1}}, "consensus step size must lie in"),
+        ({"choco": {"alpha": 0}}, "choco sparsity must lie in"),
     ])
     def test_values_that_would_fail_at_run_time(self, raw, message):
-        # Each of these used to load and then fail (or, for an empty test
+        # The first seven used to load and then fail (or, for an empty test
         # set, write NaN loss and accuracy) only once the run started.
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
@@ -126,10 +131,15 @@ class TestConfig:
             config_from_dict({"algo": "choco", "topology": {"dynamic": True}})
 
     def test_counts_must_be_positive(self):
+        # A hand-built RunConfig is checked as a loaded one is, before the
+        # run builds anything.
+        base = {"n": 2, "rounds": 1, "topology": TopologyCfg(d=1)}
         for bad in ({"rounds": 0}, {"eval_every": 0}, {"workers": 0},
                     {"n": 0}, {"seed": -1}):
             with pytest.raises(ConfigError):
                 config_from_dict(bad)
+            with pytest.raises(ConfigError):
+                run(RunConfig(**{**base, **bad}))
 
     @pytest.mark.parametrize("raw", [{"wavelet_levels": 0},
                                      {"algo": "full", "wavelet_levels": -2}])
