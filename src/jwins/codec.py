@@ -231,8 +231,8 @@ def encode_index_sets(index_sets) -> list[bytes]:
     vectorized pass. Each set's stream is byte-aligned on its own, so every
     result equals ``encode_indices`` of its set."""
     sets = [np.asarray(s, dtype=np.int64) for s in index_sets]
-    if len(sets) < 2:
-        return [encode_indices(idx) for idx in sets]
+    if not sets:
+        return []
     counts = [s.size for s in sets]
     return _gamma_streams(indices_to_gaps(np.concatenate(sets), counts), counts)
 

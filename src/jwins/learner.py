@@ -29,19 +29,12 @@ class Dataset:
 
 @dataclass
 class SGDConfig:
-    """Local training knobs: step size, steps per round, batch size."""
+    """Local training knobs: step size, steps per round, batch size.
+    ``sim._validate`` checks their ranges."""
 
     eta: float = 0.05
     tau: int = 1
     batch_size: int = 8
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("step size must be non-negative")
-        if self.tau < 1:
-            raise ValueError("need at least one local step per round")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

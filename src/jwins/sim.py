@@ -28,11 +28,12 @@ reproduces its metrics file byte for byte, regardless of worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 import yaml
@@ -158,10 +159,7 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Plain dict with every default filled in, for provenance echoes."""
-        d = asdict(self)
-        d["alpha"]["support"] = list(self.alpha.support)
-        d["alpha"]["probs"] = list(self.alpha.probs)
-        return d
+        return asdict(self)
 
     @property
     def shared_levels(self) -> int:
@@ -172,18 +170,13 @@ class RunConfig:
         return self.wavelet_levels if wavelet else 0
 
 
-_SECTION_TYPES = {
-    "topology": TopologyCfg,
-    "model": ModelCfg,
-    "data": DataCfg,
-    "partition": PartitionCfg,
-    "sgd": SGDConfig,
-    "choco": ChocoCfg,
-    "ablations": Ablations,
-}
+@functools.cache
+def _hints(cls) -> dict:
+    """Field annotations of a config class, the config's only schema."""
+    return typing.get_type_hints(cls)
 
 
-# Each scalar field type, the raw value types it takes and how an error names
+# Each scalar field type, the value types it takes and how an error names
 # it. YAML hands over whatever scalar it parsed, and bool is a subclass of int,
 # so a bool is only taken by a bool field.
 _SCALAR_TYPES = {
@@ -194,14 +187,17 @@ _SCALAR_TYPES = {
 }
 
 
-def _check_types(cls, raw: dict, prefix: str) -> None:
-    """Reject a raw value whose type does not fit a scalar field of ``cls``,
-    read from the dataclass annotations; an ``X | None`` field also takes
-    None."""
-    for key, hint in typing.get_type_hints(cls).items():
-        if key not in raw:
+def _check_types(obj, prefix: str) -> None:
+    """Reject a field of ``obj`` whose value does not fit its annotation, in
+    every section too; an ``X | None`` field also takes None."""
+    for key, hint in _hints(type(obj)).items():
+        value = getattr(obj, key)
+        if is_dataclass(hint):
+            if not isinstance(value, hint):
+                raise ConfigError("config section %r must be a %s, got %r"
+                                  % (prefix + key, hint.__name__, value))
+            _check_types(value, prefix + key + ".")
             continue
-        value = raw[key]
         options = typing.get_args(hint)
         if type(None) in options:
             if value is None:
@@ -214,16 +210,21 @@ def _check_types(cls, raw: dict, prefix: str) -> None:
             raise ConfigError("%s%s must be %s, got %r" % (prefix, key, what, value))
 
 
-def _build_section(cls, raw: dict, where: str):
-    allowed = cls.__dataclass_fields__
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError("unknown config key %r in %s" % (key, where))
-    _check_types(cls, raw, where + ".")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad %s config: %s" % (where, exc)) from exc
+def _build(cls, raw: dict, where: str):
+    """A ``cls`` from a raw mapping. A field annotated with a dataclass is a
+    section, built from its own mapping; values are checked in ``_validate``."""
+    hints = _hints(cls)
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in hints:
+            raise ConfigError("unknown config key %r%s" % (key, where and " in " + where))
+        hint = hints[key]
+        if is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError("config section %r must be a mapping" % key)
+            value = _build_alpha(value) if hint is AlphaDistribution else _build(hint, value, key)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def _build_alpha(raw: dict) -> AlphaDistribution:
@@ -251,31 +252,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     """Validate a raw mapping (e.g. parsed YAML) into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    top_fields = RunConfig.__dataclass_fields__
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in top_fields:
-            raise ConfigError("unknown config key %r" % key)
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError("config section %r must be a mapping" % key)
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key == "alpha":
-            if not isinstance(value, dict):
-                raise ConfigError("config section 'alpha' must be a mapping")
-            kwargs[key] = _build_alpha(value)
-        else:
-            kwargs[key] = value
-    _check_types(RunConfig, kwargs, "")
-    try:
-        cfg = RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _build(RunConfig, raw, "")
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
+    _check_types(cfg, "")
     if cfg.algo not in [a.value for a in Algo]:
         raise ConfigError("unknown algorithm %r" % cfg.algo)
     if cfg.n < 1:
@@ -305,6 +288,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("unknown model kind %r" % cfg.model.kind)
     if cfg.model.kind == "mlp" and cfg.model.hidden < 1:
         raise ConfigError("model.hidden must be positive")
+    if cfg.sgd.eta < 0:
+        raise ConfigError("step size must be non-negative")
+    if cfg.sgd.tau < 1:
+        raise ConfigError("need at least one local step per round")
+    if cfg.sgd.batch_size < 1:
+        raise ConfigError("batch size must be positive")
     if cfg.partition.shards_per_node < 1:
         raise ConfigError("partition.shards_per_node must be positive")
     if cfg.data.kind not in ("synthetic", "idx"):
@@ -360,31 +349,24 @@ def _load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
             train.num_classes = test.num_classes
         return train, test
     # One blob draw covers train and test so both share the class means.
-    total = d.per_class + d.test_per_class
-    full = synth_blobs(d.classes, d.dims, total, derived_seed(cfg.seed, _TAG_DATA),
-                       d.mean_scale, d.noise_scale)
-    train_idx = []
-    test_idx = []
-    for c in range(d.classes):
-        start = c * total
-        train_idx.append(np.arange(start, start + d.per_class))
-        test_idx.append(np.arange(start + d.per_class, start + total))
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx)
-    train = Dataset(full.features[tr], full.labels[tr], d.classes)
-    test = Dataset(full.features[te], full.labels[te], d.classes)
+    full = synth_blobs(d.classes, d.dims, d.per_class + d.test_per_class,
+                       derived_seed(cfg.seed, _TAG_DATA), d.mean_scale, d.noise_scale)
+    X = full.features.reshape(d.classes, -1, d.dims)
+    y = full.labels.reshape(d.classes, -1)
+    train = Dataset(X[:, : d.per_class].reshape(-1, d.dims), y[:, : d.per_class].ravel(),
+                    d.classes)
+    test = Dataset(X[:, d.per_class :].reshape(-1, d.dims), y[:, d.per_class :].ravel(),
+                   d.classes)
     return train, test
 
 
 @dataclass(eq=False)
 class Runtime:
     cfg: RunConfig
-    train: Dataset
     test: Dataset
     states: list
     groups: list
     topology: Topology
-    topo_seed: int
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:
@@ -432,7 +414,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         topology = Topology(1, 0, (np.empty(0, dtype=np.int64),), topo_seed)
     else:
         topology = generate_regular(cfg.n, cfg.topology.d, topo_seed)
-    return Runtime(cfg, train, test, states, groups, topology, topo_seed)
+    return Runtime(cfg, test, states, groups, topology)
 
 
 def pool_size(workers: int | None, n: int, param_count: int, algo: str) -> int:
@@ -500,7 +482,7 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     try:
         for t in range(cfg.rounds):
             if cfg.topology.dynamic and n > 1:
-                topology = reshuffle(topology, t, rt.topo_seed)
+                topology = reshuffle(topology, t, rt.topology.seed)
                 weights = metropolis_hastings(topology)
             # Each update is serialized as soon as its group has built it:
             # from here on the round holds a message as its wire bytes, the

@@ -296,14 +296,6 @@ class TestLocalSGD:
             local_sgd(stack, np.zeros((3, 4)), np.zeros(3, dtype=np.int64), [3, 0],
                       SGDConfig(), [np.random.default_rng(0), np.random.default_rng(1)])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SGDConfig(eta=-0.1)
-        with pytest.raises(ValueError):
-            SGDConfig(tau=0)
-        with pytest.raises(ValueError):
-            SGDConfig(batch_size=0)
-
 
 class TestEvaluate:
     def test_uniform_logits_baseline(self):

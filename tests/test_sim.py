@@ -58,6 +58,25 @@ def _tiny(**over):
     return config_from_dict(raw)
 
 
+def _hand_built(raw):
+    """The RunConfig ``raw`` describes, built without ``config_from_dict``:
+    each section from its own class, on a 2-node, 1-round base."""
+    kwargs = {"n": 2, "rounds": 1, "topology": TopologyCfg(d=1)}
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            value = type(getattr(RunConfig(), key))(**value)
+        kwargs[key] = value
+    return RunConfig(**kwargs)
+
+
+def _same_error_when_hand_built(raw, loaded):
+    """A hand-built config fails its run with the message that loading the
+    same raw values gave."""
+    with pytest.raises(ConfigError) as built:
+        run(_hand_built(raw))
+    assert str(built.value) == str(loaded.value)
+
+
 class TestConfig:
     def test_defaults_fill_in(self):
         cfg = config_from_dict({})
@@ -82,6 +101,8 @@ class TestConfig:
             config_from_dict([1, 2, 3])
         with pytest.raises(ConfigError, match="mapping"):
             config_from_dict({"sgd": 5})
+        with pytest.raises(ConfigError, match="section 'topology' must be a TopologyCfg"):
+            run(RunConfig(n=2, topology={"d": 1}))
 
     def test_bad_algo(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -119,6 +140,9 @@ class TestConfig:
         ({"choco": {"gamma": 1.5}}, "consensus step size must lie in"),
         ({"choco": {"gamma": -0.1}}, "consensus step size must lie in"),
         ({"choco": {"alpha": 0}}, "choco sparsity must lie in"),
+        ({"sgd": {"eta": -0.1}}, "step size must be non-negative"),
+        ({"sgd": {"tau": 0}}, "need at least one local step per round"),
+        ({"sgd": {"batch_size": 0}}, "batch size must be positive"),
     ])
     def test_values_that_would_fail_at_run_time(self, raw, message):
         # The first seven used to load and then fail (or, for an empty test
@@ -158,8 +182,9 @@ class TestConfig:
                                      {"rounds": 2.5}, {"seed": 1.5}, {"workers": 1.5},
                                      {"workers": True}, {"workers": "auto"}])
     def test_integer_fields_reject_other_types(self, raw):
-        with pytest.raises(ConfigError, match="must be an integer"):
+        with pytest.raises(ConfigError, match="must be an integer") as loaded:
             config_from_dict(raw)
+        _same_error_when_hand_built(raw, loaded)
 
     @pytest.mark.parametrize("raw, what", [
         ({"random_alpha": "x"}, "a number"),
@@ -177,8 +202,12 @@ class TestConfig:
         ({"alpha": {"probs": [0.5, "x"]}}, "a list of numbers"),
     ])
     def test_scalar_fields_reject_other_types(self, raw, what):
-        with pytest.raises(ConfigError, match="must be " + what):
+        with pytest.raises(ConfigError, match="must be " + what) as loaded:
             config_from_dict(raw)
+        # An alpha section takes lists only when loaded; its class checks
+        # the tuples it is built from.
+        if "alpha" not in raw:
+            _same_error_when_hand_built(raw, loaded)
 
     def test_workers_unset_by_default(self):
         assert config_from_dict({}).workers is None
