@@ -1,12 +1,13 @@
 """Models, local SGD, data loading, and non-IID partitioning.
 
 Two small classifiers are provided, both trained with plain mini-batch SGD
-on softmax cross-entropy. Parameters live in one flat float64 vector; the
-weight matrices and bias vectors are views into it, laid out layer by layer
-as row-major weights followed by biases. That flat vector is exactly what
-the communication layer transforms and shares. A model can also hold a
-stack of such vectors, one row per node, and ``local_sgd`` trains a stack
-with one forward and backward pass per step.
+on softmax cross-entropy. Parameters live in one flat vector, whose dtype
+rules: float32 in a run, float64 by default. The weight matrices and bias
+vectors are views into it, laid out layer by layer as row-major weights
+followed by biases. That flat vector is exactly what the communication
+layer transforms and shares. A model can also hold a stack of such vectors,
+one row per node, and ``local_sgd`` trains a stack with one forward and
+backward pass per step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(eq=False)
 class Dataset:
-    features: np.ndarray  # (N, F) float64
+    features: np.ndarray  # (N, F) float; float32 in a run
     labels: np.ndarray  # (N,) int64
     num_classes: int
 
@@ -57,12 +58,13 @@ def _nll(logp: np.ndarray, y: np.ndarray):
 
 
 class _FlatModel:
-    """Parameters in one flat float64 buffer; subclasses lay out the layers.
+    """Parameters in one flat buffer; subclasses lay out the layers.
 
     ``theta`` is one node's vector (P,) or a stack of nodes' vectors (G, P),
     and every layer view keeps its leading axes, so one forward and backward
     pass serves a whole stack. The buffer may be a caller's (a row, or rows,
-    of a larger matrix); the model then reads and writes it in place.
+    of a larger matrix); the model then computes in its dtype and writes it
+    in place. Without one the buffer is float64.
     """
 
     def _bind(self, theta: np.ndarray | None, size: int) -> None:
@@ -80,7 +82,7 @@ class _FlatModel:
         return self.theta.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat, dtype=self.theta.dtype)
         if flat.shape != self.theta.shape:
             raise ValueError("flat vector length does not match model")
         self.theta[:] = flat
@@ -130,7 +132,7 @@ class SoftmaxRegression(_FlatModel):
         P = np.exp(logp)
         P.reshape(-1, self.classes)[_label_slots(y)] -= 1.0
         P /= X.shape[-2]
-        grad = np.empty(self.theta.shape)
+        grad = np.empty(self.theta.shape, self.theta.dtype)
         gW, gb = self._layers(grad)
         np.matmul(P.swapaxes(-1, -2), X, out=gW)
         np.sum(P, axis=-2, out=gb)
@@ -193,7 +195,7 @@ class TwoLayerMLP(_FlatModel):
         dz = np.exp(logp)
         dz.reshape(-1, self.classes)[_label_slots(y)] -= 1.0
         dz /= X.shape[-2]
-        grad = np.empty(self.theta.shape)
+        grad = np.empty(self.theta.shape, self.theta.dtype)
         gW1, gb1, gW2, gb2 = self._layers(grad)
         np.matmul(dz.swapaxes(-1, -2), h, out=gW2)
         np.sum(dz, axis=-2, out=gb2)
@@ -201,10 +203,11 @@ class TwoLayerMLP(_FlatModel):
         # Zero dh where the pre-activation was <= 0, which is where h <= 0
         # (NaN in neither). ANDing each entry's bits with all zeros or all
         # ones stores the same bits as a masked assignment, without its
-        # per-entry branch on a mask that is about half true.
-        keep = (h <= 0.0).astype(np.uint64)
+        # per-entry branch on a mask that is about half true. The mask is
+        # the unsigned integer of dh's width, so one path serves any float.
+        keep = (h <= 0.0).astype("u%d" % dh.itemsize)
         keep -= 1
-        bits = dh.view(np.uint64)
+        bits = dh.view(keep.dtype)
         bits &= keep
         np.matmul(dh.swapaxes(-1, -2), X, out=gW1)
         np.sum(dh, axis=-2, out=gb1)

@@ -140,7 +140,7 @@ class NodeGroup:
     coefficient its value when the member last shared it (the first
     ``prepare_round`` sets it to the transform of the starting parameters);
     for Choco, ``choco_hat`` holds the member's public copy and
-    ``choco_agg`` the weighted sum of its neighborhood's.
+    ``choco_agg`` the weighted sum of its neighborhood's. All are float64.
 
     The current round, between the two phases: ``shared`` is the stack in
     the shared domain (x_tau's transform when ``cfg.shared_levels`` > 0,
@@ -186,8 +186,8 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
     if cfg.algo == Algo.JWINS and (group.ref is None or not cfg.ablations.accumulation_on):
         group.ref = dwt(theta, levels)
     if cfg.algo == Algo.CHOCO and group.choco_hat is None:
-        group.choco_hat = np.zeros_like(theta)
-        group.choco_agg = np.zeros_like(theta)
+        group.choco_hat = np.zeros(theta.shape)
+        group.choco_agg = np.zeros(theta.shape)
     group.train(cfg.sgd)
     shared = dwt(theta, levels) if levels else theta
     senders = [s.node_id for s in states]
@@ -287,7 +287,8 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
     if not contributions:
         return own.copy()
     w_self = float(weights.self_weight[self_id])
-    acc = w_self * own
+    # float64 whatever the row's width; for a float64 row, w_self * own.
+    acc = np.multiply(own, w_self, dtype=np.float64)
     norm = np.full(own.size, w_self)
     seen = set()
     for sender, idx, values in contributions:

@@ -13,7 +13,10 @@ jwins transforms, gamma-encodes and inverts its members' rows in one call
 each. Small models are grouped up to about ``POOL_MIN_PARAMS`` parameters a
 group, so many small nodes cost a few stacked calls instead of one short
 call each; a model of that size or more is a group of its own. Decoding
-runs per message and evaluation per node.
+runs per message and evaluation per node. The parameter matrix and the
+features are float32, so nodes train and evaluate in float32, as the wire
+carries values; the wavelet transforms, selection, averaging and Choco's
+memory stay float64.
 
 With ``workers`` above 1 a thread pool maps the groups of both phases, the
 decoding of each round's messages and the evaluations; numpy and BLAS
@@ -385,11 +388,12 @@ def build_runtime(cfg: RunConfig) -> Runtime:
                                 derived_seed(cfg.seed, _TAG_PARTITION))
     # One parameter row per node, and every node's samples back to back in
     # node order, so that consecutive nodes' rows and samples are contiguous.
-    params = np.empty((cfg.n, reference.param_count))
+    params = np.empty((cfg.n, reference.param_count), np.float32)
     params[:] = reference.theta
     order = np.concatenate(parts)
-    X = train.features[order]
+    X = train.features[order].astype(np.float32)
     y = train.labels[order]
+    test = Dataset(test.features.astype(np.float32), test.labels, test.num_classes)
     bounds = np.cumsum([0] + [p.size for p in parts]).tolist()
     states = [
         NodeState(
@@ -602,7 +606,7 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     levels = cfg.wavelet_levels if cfg.ablations.wavelet_on else 0
     plen = state.model.param_count
     k_rand = selection_size(budget, plen)
-    x0 = state.model.get_flat()
+    x0 = state.model.get_flat().astype(np.float64)
     recon_coeffs = dwt(x0, levels)
     recon_params = x0.copy()
     cum_w = 0.0
@@ -610,7 +614,7 @@ def reconstruction_probe(cfg: RunConfig, budget: float, out_path=None) -> list[t
     rows = []
     for t in range(cfg.rounds):
         rt.groups[0].train(cfg.sgd)
-        x = state.model.get_flat()
+        x = state.model.get_flat().astype(np.float64)
         select_drift(dwt(x, levels), recon_coeffs, budget)
         approx = idwt(recon_coeffs, plen, levels)
         mse_w = float(np.mean((x - approx) ** 2))

@@ -81,7 +81,8 @@ def _analyze(a: np.ndarray, detail: np.ndarray) -> np.ndarray:
     # ``detail`` before the approximation is correlated, so the two dense
     # correlation buffers never coexist; the approximation is returned.
     rows, n = a.shape
-    ext = np.concatenate([a[:, 2::-1], a, a[:, :-4:-1]], axis=1).ravel()
+    ext = np.concatenate([a[:, 2::-1], a, a[:, :-4:-1]], axis=1,
+                         dtype=np.float64).ravel()
     # Row g's outputs start at g * (n + 6); its kept ones are every other
     # output from the second on. Correlating with the reversed taps is the
     # convolution, computed by the same kernel without np.convolve's
@@ -135,13 +136,14 @@ def dwt(x: np.ndarray, levels: int) -> np.ndarray:
         (G, C) stack for a stack. Each row is bit-identical to that row
         transformed alone. Raises ValueError on an empty row.
     """
-    a = np.asarray(x, dtype=np.float64)
+    # A float32 input is widened by the first level's extension, not copied.
+    a = np.asarray(x)
     if a.ndim not in (1, 2):
         raise ValueError("expected a vector or a stack of rows")
     rows = a[None] if a.ndim == 1 else a
     lens = _level_lengths(rows.shape[1], levels)
     if len(lens) == 1:
-        return a.copy()
+        return a.astype(np.float64)
     # Each level writes its detail band into its slot, from D_1 at the end
     # backwards, so no band outlives the level that made it.
     out = np.empty((rows.shape[0], coeff_length(rows.shape[1], levels)))

@@ -133,6 +133,44 @@ class TestInPlaceOracle:
         np.testing.assert_array_equal(_bits(model.theta), _bits(ref.theta))
 
 
+def _float32_copy(model, X):
+    """The same MLP over a float32 buffer, and X in float32."""
+    m32 = TwoLayerMLP(model.features, model.classes, model.hidden,
+                      theta=np.zeros(model.param_count, np.float32))
+    m32.set_flat(model.get_flat())
+    return m32, X.astype(np.float32)
+
+
+class TestFloat32:
+    """A model over a float32 buffer computes in float32, as a simulator
+    run's nodes do."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grad_bitwise_against_masked_form(self, seed):
+        """The bit-mask ReLU gradient at float32 width equals the masked
+        assignment ``dh[pre <= 0] = 0`` bit for bit."""
+        model, X, y = _edge_case_mlp(seed)
+        model, X = _float32_copy(model, X)
+        logp, grad = model.logp_and_grad(X, y)
+        assert logp.dtype == grad.dtype == np.float32
+        _, want = _reference_loss_and_grad(model, X, y)
+        assert want.dtype == np.float32
+        np.testing.assert_array_equal(grad.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grad_agrees_with_float64(self, seed):
+        """On float32-representable parameters and inputs the float32
+        gradient is the float64 one to a few float32 roundings."""
+        model, X, y = _edge_case_mlp(seed)
+        m32, X32 = _float32_copy(model, X)
+        m64 = TwoLayerMLP(6, 3, hidden=16)
+        m64.set_flat(m32.get_flat())
+        _, g32 = m32.logp_and_grad(X32, y)
+        _, g64 = m64.logp_and_grad(X32.astype(np.float64), y)
+        tol = 16 * np.finfo(np.float32).eps
+        np.testing.assert_allclose(g32, g64, rtol=tol, atol=tol * np.abs(g64).max())
+
+
 class TestStackedSGD:
     """A stack of nodes trained with one forward and backward pass per step
     keeps every bit of a per-node loop over the out-of-place oracle."""

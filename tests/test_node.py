@@ -142,6 +142,19 @@ class TestSparseAverage:
         want = _reference_sparse_average(own, contribs, W, 0)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_float32_row_averages_in_float64(self):
+        """A float32 parameter row is averaged in float64: the result is
+        the average of its widened values, bit for bit."""
+        W = _triangle_weights()
+        rng = np.random.default_rng(11)
+        own = rng.normal(size=50).astype(np.float32)
+        contribs = [(1, np.array([0, 4, 9, 30]), rng.normal(size=4).astype(np.float32)),
+                    (2, None, rng.normal(size=50).astype(np.float32))]
+        got = sparse_average(own, contribs, W, 0)
+        assert got.dtype == np.float64
+        want = sparse_average(own.astype(np.float64), contribs, W, 0)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_zero_self_weight_matches_reference_without_warning(self):
         """A zero self weight leaves 0/0 in the untouched slots before they
         get the node's own value back; that divide must not warn."""
