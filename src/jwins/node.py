@@ -140,7 +140,8 @@ class NodeGroup:
     coefficient its value when the member last shared it (the first
     ``prepare_round`` sets it to the transform of the starting parameters);
     for Choco, ``choco_hat`` holds the member's public copy and
-    ``choco_agg`` the weighted sum of its neighborhood's. All are float64.
+    ``choco_agg`` the weighted sum of its neighborhood's. Each takes the
+    parameters' dtype, float32 in a run.
 
     The current round, between the two phases: ``shared`` is the stack in
     the shared domain (x_tau's transform when ``cfg.shared_levels`` > 0,
@@ -184,12 +185,12 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
     theta = group.model.theta
     levels = cfg.shared_levels
     if cfg.algo == Algo.JWINS and (group.ref is None or not cfg.ablations.accumulation_on):
-        group.ref = dwt(theta, levels)
+        group.ref = dwt(theta, levels).astype(theta.dtype, copy=False)
     if cfg.algo == Algo.CHOCO and group.choco_hat is None:
-        group.choco_hat = np.zeros(theta.shape)
-        group.choco_agg = np.zeros(theta.shape)
+        group.choco_hat = np.zeros_like(theta)
+        group.choco_agg = np.zeros_like(theta)
     group.train(cfg.sgd)
-    shared = dwt(theta, levels) if levels else theta
+    shared = dwt(theta, levels).astype(theta.dtype, copy=False) if levels else theta
     senders = [s.node_id for s in states]
     if cfg.algo == Algo.FULL:
         alphas = [1.0] * len(states)

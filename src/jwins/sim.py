@@ -15,8 +15,8 @@ group, so many small nodes cost a few stacked calls instead of one short
 call each; a model of that size or more is a group of its own. Decoding
 runs per message and evaluation per node. The parameter matrix and the
 features are float32, so nodes train and evaluate in float32, as the wire
-carries values; the wavelet transforms, selection, averaging and Choco's
-memory stay float64.
+carries values, and the protocol memory a group keeps takes the same dtype;
+the wavelet transforms, averaging and Choco's products compute in float64.
 
 With ``workers`` above 1 a thread pool maps the groups of both phases, the
 decoding of each round's messages and the evaluations; numpy and BLAS

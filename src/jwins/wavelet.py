@@ -160,18 +160,20 @@ def idwt(coeffs: np.ndarray, source_len: int, levels: int) -> np.ndarray:
     (G, P) stack from a (G, C) stack of coefficient rows.
 
     ``source_len`` and ``levels`` are the arguments the forward transform
-    saw. Each row is bit-identical to that row inverted alone. A row whose
-    size is not ``coeff_length(source_len, levels)`` raises
-    ValueError("corrupt layout ...").
+    saw. Any float dtype gives a float64 result, bitwise the one of the
+    coefficients widened to float64. Each row is bit-identical to that row
+    inverted alone. A row whose size is not ``coeff_length(source_len,
+    levels)`` raises ValueError("corrupt layout ...").
     """
-    data = np.asarray(coeffs, dtype=np.float64)
+    # Not copied: each band widens as it is written into a float64 buffer.
+    data = np.asarray(coeffs)
     lens = _level_lengths(source_len, levels)
     want = coeff_length(source_len, levels)
     if data.ndim not in (1, 2) or data.shape[-1] != want:
         raise ValueError("corrupt layout: shape %s, expected %d coefficients a row for length %d"
                          " at %d levels" % (data.shape, want, source_len, levels))
     if len(lens) == 1:
-        return data.copy()
+        return data.astype(np.float64)
     stack = data[None] if data.ndim == 1 else data
     a = stack[:, : lens[-1]]
     start = lens[-1]

@@ -355,6 +355,21 @@ class TestStacks:
             np.testing.assert_array_equal(_bits(c[g]), _bits(_row_dwt(x[g], 3)))
             np.testing.assert_array_equal(_bits(y[g]), _bits(_row_idwt(coeffs[g], 40, 3)))
 
+    @pytest.mark.parametrize("n, levels", [(2842, 4), (1001, 6), (9, 3), (3, 4), (40, 0)])
+    @pytest.mark.parametrize("pick", [[0], [0, 1, 2], [0, 2, 3]],
+                             ids=["one-row", "three-rows", "ragged"])
+    def test_float32_stack_equals_widened(self, n, levels, pick):
+        """A float32 coefficient stack inverts bitwise as the same stack
+        widened to float64, and the result is float64: for one row, three
+        rows, and the rows of a group that averaged anything (a fancy-indexed
+        pick, as ``node.finalize_group`` takes). Zero levels is a float64
+        copy too."""
+        stack = _rows(n + levels, 4, coeff_length(n, levels), 0.3).astype(np.float32)[pick]
+        for coeffs in (stack, stack[0]):
+            y = idwt(coeffs, n, levels)
+            assert y.dtype == np.float64
+            np.testing.assert_array_equal(_bits(y), _bits(idwt(coeffs.astype(np.float64), n, levels)))
+
     def test_shapes_rejected(self):
         with pytest.raises(ValueError, match="expected a vector or a stack"):
             dwt(np.ones((2, 3, 8)), 2)
