@@ -627,9 +627,10 @@ class TestPrecision:
 
         monkeypatch.setattr(sim, "build_runtime", build)
         monkeypatch.setattr(sim, "finalize_group", finalize)
-        run(_tiny(**over))
+        cfg = _tiny(**over)
+        run(cfg)
         [rt] = built
-        assert len(seen) == 2 * _tiny().rounds * len(rt.groups)
+        assert len(seen) == 2 * cfg.rounds * len(rt.groups)
         assert all(dtype == np.float32 for _, dtype in seen), seen
         names = ("ref",) if over["algo"] == "jwins" else ("choco_hat", "choco_agg")
         for group in rt.groups:
