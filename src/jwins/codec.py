@@ -329,7 +329,7 @@ def make_seed_update(round_no: int, sender: int, seed: int, values) -> SparseUpd
 def serialize(update: SparseUpdate) -> bytes:
     """Exact wire bytes for an update: header, metadata, values."""
     head = HEADER.pack(update.round_no, update.sender, int(update.kind), update.k)
-    return head + update.index_payload + update.values.astype("<f4").tobytes()
+    return head + update.index_payload + update.values.astype("<f4", copy=False).tobytes()
 
 
 def deserialize(data) -> SparseUpdate:

@@ -203,8 +203,7 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
         for state, row in zip(states, shared):
             seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
             idx = random_indices(row.size, k, seed)
-            updates.append(codec.make_seed_update(round_no, state.node_id, seed,
-                                                  row[idx].astype(np.float32)))
+            updates.append(codec.make_seed_update(round_no, state.node_id, seed, row[idx]))
     else:
         if cfg.algo == Algo.JWINS:
             # The coefficients that drifted most since they were last shared.
@@ -224,13 +223,14 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
             k = selection_size(cfg.choco.alpha, shared.shape[1])
             index_sets = [top_indices(row, k) for row in source]
             compressed = True
-        values = [row[idx].astype(np.float32) for row, idx in zip(source, index_sets)]
-        updates = codec.make_indexed_updates(round_no, senders, index_sets, values,
-                                             compressed=compressed)
+        updates = codec.make_indexed_updates(
+            round_no, senders, index_sets, [row[idx] for row, idx in zip(source, index_sets)],
+            compressed=compressed)
         if cfg.algo == Algo.CHOCO:
-            for hat, idx, vals in zip(group.choco_hat, index_sets, values):
-                hat[idx] += vals.astype(np.float64)
-            group.sent = list(zip(index_sets, values))
+            # The public copy moves by the float32 values on the wire.
+            group.sent = [(u.indices, u.values) for u in updates]
+            for hat, (idx, vals) in zip(group.choco_hat, group.sent):
+                hat[idx] += vals
     group.shared = shared
     group.alphas = alphas
     group.outbound = [Outbound.of(u) for u in updates]

@@ -13,11 +13,11 @@ than requested. Zero levels, asked for or reached that way, is the identity:
 the coefficient array is a copy of the input.
 
 ``dwt`` and ``idwt`` also take a (G, P) stack of parameter rows or a (G, C)
-stack of coefficient rows, and a vector is the one-row stack. Each level
-is then one ``np.correlate`` per band over the rows laid end to end, every
-row with its own boundary extension, and every row comes out bit-identical
-to that row transformed alone (see ``_synthesize`` for the one output per
-row and level that needs care).
+stack of coefficient rows, and a vector is the one-row stack. A level runs
+over the rows laid end to end: analysis as one ``np.correlate`` per band over
+the rows' own boundary extensions, synthesis by output phase (even outputs
+take taps 1 and 3, odd ones taps 0 and 2) as one 2-tap ``np.correlate`` per
+band and phase. Every row is bit-identical to that row transformed alone.
 """
 
 from __future__ import annotations
@@ -94,30 +94,28 @@ def _analyze(a: np.ndarray, detail: np.ndarray) -> np.ndarray:
 
 
 def _synthesize(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
-    # Adjoint of the analysis step restricted to the kept coefficient range:
-    # upsample each band at even phase, filter with the time-reversed pair,
-    # sum, and crop the transient introduced by the boundary extension. The
-    # rows are upsampled end to end and filtered in one call per band;
-    # correlating with the taps is convolving with the reversed ones.
+    # Adjoint of the analysis step on the kept coefficient range, by output
+    # phase: output 2m + 1 is b[m] f[0] + b[m + 1] f[2] and output 2m is
+    # b[m] f[1] + b[m + 1] f[3], the LO band's term first and the HI band's
+    # added. Each phase is one 2-tap np.correlate per band over the rows,
+    # widened once and laid end to end: row g's m-th output of a phase is
+    # entry g * c + m, and the even phase is kept from output 2 on.
     rows, c = ca.shape
-    up_a = np.zeros((rows, 2 * c))
-    up_d = np.zeros((rows, 2 * c))
-    up_a[:, 0::2] = ca
-    up_d[:, 0::2] = cd
-    y = np.correlate(up_a.ravel(), FILTER_LO, "full")
-    y += np.correlate(up_d.ravel(), FILTER_HI, "full")
-    # Row g's outputs start at g * 2c; its kept ones from the third on.
-    out = np.ndarray((rows, out_len), np.float64, y, 8 * (FILTER_LEN - 2), (16 * c, 8))
-    # A row's first kept output overlaps only 3 of its own taps. np.correlate
-    # computes such a partial overlap with the BLAS dot, whose rounding
-    # differs from the 4-tap kernel that ran across the row boundary here,
-    # so rows after the first take it from the same dot: a stack of
-    # (1, 3) @ (3, 1) products is one BLAS dot per row. (A (G, 3) @ (3,)
-    # product would run a matrix-vector kernel, whose rounding BLAS does not
-    # tie to the dot's.)
-    if rows > 1:
-        first = up_a[1:, None, :3] @ FILTER_LO[1:, None] + up_d[1:, None, :3] @ FILTER_HI[1:, None]
-        out[1:, 0] = first[:, 0, 0]
+    a, d = (np.ascontiguousarray(b, np.float64).ravel() for b in (ca, cd))
+    out = np.empty((rows, out_len))
+    for start, taps in ((1, slice(0, 3, 2)), (2, slice(1, 4, 2))):
+        y = np.correlate(a, FILTER_LO[taps], "valid")
+        y += np.correlate(d, FILTER_HI[taps], "valid")
+        kept = out[:, start::2]
+        kept[:] = np.ndarray(kept.shape, np.float64, y, 8 * (start // 2), (8 * c, 8))
+    # Output 0 overlaps only taps 1 to 3, over b[0], a zero and b[1]; the
+    # per-vector definition takes it with the BLAS dot, whose rounding
+    # differs from the 2-tap kernel's, so every row takes it from a stack of
+    # (1, 3) @ (3, 1) products, one BLAS dot each. (A (G, 3) @ (3,) product
+    # runs a matrix-vector kernel, whose rounding BLAS does not tie to it.)
+    head = np.zeros((2, rows, 1, 3))
+    head[:, :, 0, ::2] = ca[:, :2], cd[:, :2]
+    out[:, 0] = (head[0] @ FILTER_LO[1:, None] + head[1] @ FILTER_HI[1:, None])[:, 0, 0]
     return out
 
 
@@ -165,7 +163,7 @@ def idwt(coeffs: np.ndarray, source_len: int, levels: int) -> np.ndarray:
     inverted alone. A row whose size is not ``coeff_length(source_len,
     levels)`` raises ValueError("corrupt layout ...").
     """
-    # Not copied: each band widens as it is written into a float64 buffer.
+    # Not copied: ``_synthesize`` widens each band to float64 once.
     data = np.asarray(coeffs)
     lens = _level_lengths(source_len, levels)
     want = coeff_length(source_len, levels)

@@ -7,6 +7,8 @@ identities (published filter table, vanishing moments, orthogonality) pin
 the convention.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,3 +377,21 @@ class TestStacks:
             dwt(np.ones((2, 3, 8)), 2)
         with pytest.raises(ValueError, match="corrupt layout"):
             idwt(np.ones((2, coeff_length(50, 4) + 1)), 50, 4)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("rows, n", [(1, 60426), (11, 2842)])
+    def test_inverse_peak_per_parameter(self, rows, n):
+        """One ``idwt`` call on a float32 stack at 4 levels holds under 28
+        bytes per parameter at its tracemalloc peak. At the last level it
+        holds its float64 output (8), the previous level's output (4), the
+        widened detail band (4) and one phase's two correlations (8): 24."""
+        coeffs = _rows(n, rows, coeff_length(n, 4), 0.0).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idwt(coeffs, n, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (rows * n) < 28.0
