@@ -84,8 +84,9 @@ class SparseUpdate:
 
     ``index_payload`` is the metadata as it goes on the wire (empty for
     FULL). ``indices`` is None for FULL (implicitly all slots) and for
-    RANDOM_SEED before regeneration; ``index_slots`` is the slot count a
-    RANDOM_SEED update's ``indices`` were regenerated for.
+    RANDOM_SEED until its set is built, by the sender or by regeneration;
+    ``index_slots`` is the slot count a RANDOM_SEED update's ``indices``
+    were built for.
     """
 
     round_no: int

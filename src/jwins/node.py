@@ -27,7 +27,7 @@ Selection and averaging stay per node.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -132,9 +132,11 @@ class NodeState:
 class NodeGroup:
     """Consecutive nodes that train, transform and encode as one stack.
 
-    Row g of ``model.theta`` is ``states[g].model.theta``, and ``X``/``y``
-    hold the members' local samples back to back, in member order. Row g of
-    every other stack belongs to member g too.
+    ``rows`` holds one parameter row per member, ``coeff_len`` slots long
+    (at least P), and ``model`` views their first P columns: row g of
+    ``model.theta`` is ``states[g].model.theta``. ``X``/``y`` hold the
+    members' local samples back to back, in member order. Row g of every
+    other stack belongs to member g too.
 
     Protocol memory, kept across rounds: for jwins, ``ref`` holds per
     coefficient its value when the member last shared it (the first
@@ -143,29 +145,43 @@ class NodeGroup:
     ``choco_agg`` the weighted sum of its neighborhood's. Each takes the
     parameters' dtype, float32 in a run.
 
-    The current round, between the two phases: ``shared`` is the stack in
-    the shared domain (x_tau's transform when ``cfg.shared_levels`` > 0,
-    x_tau itself otherwise), into whose rows ``finalize_round`` averages; ``sent`` holds Choco's sent
+    The current round, between the two phases: ``rows`` hold the members'
+    vectors in the shared domain, into which ``finalize_round`` averages.
+    With ``cfg.shared_levels`` > 0 that is x_tau's transform rounded to the
+    rows' dtype, which ``finalize_group`` inverts back into the parameters,
+    so a member that receives nothing ends the round at
+    ``idwt(float32(dwt(x_tau)))`` in a run, not bitwise at x_tau; otherwise
+    the rows are P wide and hold x_tau itself. ``sent`` holds Choco's sent
     indices and values per member; ``alphas`` and ``outbound`` hold each
     member's cut-off and update sizes.
     """
 
     states: list
-    model: object
+    rows: np.ndarray
     X: np.ndarray
     y: np.ndarray
+    model: object = field(init=False)
     ref: np.ndarray | None = None
     choco_hat: np.ndarray | None = None
     choco_agg: np.ndarray | None = None
-    shared: np.ndarray | None = None
     sent: list | None = None
     alphas: list | None = None
     outbound: list | None = None
 
+    def __post_init__(self):
+        reference = self.states[0].model
+        self.model = reference.on(self.rows[:, : reference.param_count])
+
     @classmethod
     def single(cls, state: NodeState) -> "NodeGroup":
-        """The group of one node, over its own parameters and data."""
-        return cls([state], state.model.on(state.model.theta[None]), state.X, state.y)
+        """The group of one node, over its own data and a new row of
+        ``coeff_len`` slots that takes over its parameters: the node's
+        model is rebound to the row's first P columns."""
+        theta = state.model.theta
+        rows = np.zeros((1, state.coeff_len), theta.dtype)
+        rows[0, : theta.size] = theta
+        state.model = state.model.on(rows[0, : theta.size])
+        return cls([state], rows, state.X, state.y)
 
     def train(self, sgd: SGDConfig) -> np.ndarray:
         """Local SGD for every member at once; each draws its batches from
@@ -178,8 +194,11 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
     """Phase one for a group: local training, then each member's outgoing
     update, in member order.
 
-    Without a transform the shared stack is the model's own, not a copy:
-    nothing writes the model until the finalize phase averages into it.
+    The shared stack is the group's rows, not a copy: with a transform they
+    take the coefficients, and nothing reads the parameters until
+    ``finalize_group`` inverts the averaged rows back into them; without
+    one the rows are the parameters, which nothing writes until the
+    finalize phase averages into them.
     """
     states = group.states
     theta = group.model.theta
@@ -190,7 +209,10 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
         group.choco_hat = np.zeros_like(theta)
         group.choco_agg = np.zeros_like(theta)
     group.train(cfg.sgd)
-    shared = dwt(theta, levels).astype(theta.dtype, copy=False) if levels else theta
+    shared = group.rows
+    if levels:
+        # Rounded to the rows' dtype as it is stored.
+        shared[:] = dwt(theta, levels)
     senders = [s.node_id for s in states]
     if cfg.algo == Algo.FULL:
         alphas = [1.0] * len(states)
@@ -203,7 +225,10 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
         for state, row in zip(states, shared):
             seed = int(state.rng_misc.integers(0, 2**64, dtype=np.uint64))
             idx = random_indices(row.size, k, seed)
-            updates.append(codec.make_seed_update(round_no, state.node_id, seed, row[idx]))
+            update = codec.make_seed_update(round_no, state.node_id, seed, row[idx])
+            # Off the wire: a simulator hands the set to the receivers.
+            update.indices, update.index_slots = idx, row.size
+            updates.append(update)
     else:
         if cfg.algo == Algo.JWINS:
             # The coefficients that drifted most since they were last shared.
@@ -231,7 +256,6 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
             group.sent = [(u.indices, u.values) for u in updates]
             for hat, (idx, vals) in zip(group.choco_hat, group.sent):
                 hat[idx] += vals
-    group.shared = shared
     group.alphas = alphas
     group.outbound = [Outbound.of(u) for u in updates]
     return updates
@@ -326,18 +350,18 @@ def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
 def finalize_round(state: NodeState, inbox, weights: MixingWeights, round_no: int,
                    cfg: RunConfig, group: NodeGroup, row: int) -> RoundOutcome:
     """Phase two for ``state``, member ``row`` of ``group``: average with the
-    inbox into its row of the group's ``shared`` stack. For jwins with the
-    wavelet on ``finalize_group`` turns that row into parameters; otherwise
-    the row is the parameters."""
+    inbox into its row of the group's ``rows``. For jwins with the wavelet
+    on ``finalize_group`` turns that row into parameters; otherwise the row
+    is the parameters."""
     outbound = group.outbound[row] if group.outbound else None
     if outbound is None:
         raise RuntimeError("finalize_round called before prepare_round")
     group.outbound[row] = None
     degree = int(weights.neighbors[state.node_id].size)
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
-    own = group.shared[row]
+    own = group.rows[row]
     if cfg.algo != Algo.CHOCO:
-        # With nothing arrived the row keeps x_tau exactly.
+        # With nothing arrived the row keeps its value exactly.
         if contribs:
             own[:] = sparse_average(own, contribs, weights, state.node_id)
     else:
@@ -366,18 +390,14 @@ def finalize_group(group: NodeGroup, inboxes, weights: MixingWeights,
                    round_no: int, cfg: RunConfig) -> list[RoundOutcome]:
     """Phase two for a group: each member's ``finalize_round`` with its
     inbox, in member order. For jwins with the wavelet on, then one inverse
-    transform of the rows of every member that averaged anything; a member
-    that received nothing stays exactly at x_tau."""
+    transform of every member's row back into its parameters, so a member
+    that received nothing ends at ``idwt(float32(dwt(x_tau)))`` in a run:
+    within float32 rounding of x_tau, not bitwise at it. Without the
+    transform such a member stays exactly at x_tau."""
     outcomes = [finalize_round(state, inbox, weights, round_no, cfg, group, g)
                 for g, (state, inbox) in enumerate(zip(group.states, inboxes, strict=True))]
-    shared = group.shared
-    group.shared = group.sent = group.alphas = group.outbound = None
+    group.sent = group.alphas = group.outbound = None
     levels = cfg.shared_levels
     if levels:
-        rows = [g for g, oc in enumerate(outcomes) if oc.accepted]
-        plen = group.model.param_count
-        if len(rows) == len(outcomes):
-            group.model.theta[:] = idwt(shared, plen, levels)
-        elif rows:
-            group.model.theta[rows] = idwt(shared[rows], plen, levels)
+        group.model.theta[:] = idwt(group.rows, group.model.param_count, levels)
     return outcomes

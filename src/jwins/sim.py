@@ -6,17 +6,19 @@ then all nodes finalize (average the updates that reached them). Every
 update crosses a real serialize/deserialize boundary, so traffic accounting
 is byte-exact and the codec is exercised on every message.
 
-Every node's parameters are one row of a single (n, P) matrix, and both
-phases work on groups of consecutive nodes (``node.NodeGroup``): each group
-trains as one stack, keeps its members' protocol memory as stacks, and for
-jwins transforms, gamma-encodes and inverts its members' rows in one call
-each. Small models are grouped up to about ``POOL_MIN_PARAMS`` parameters a
-group, so many small nodes cost a few stacked calls instead of one short
-call each; a model of that size or more is a group of its own. Decoding
-runs per message and evaluation per node. The parameter matrix and the
-features are float32, so nodes train and evaluate in float32, as the wire
-carries values, and the protocol memory a group keeps takes the same dtype;
-the wavelet transforms, averaging and Choco's products compute in float64.
+Every node's parameters are the first P columns of its row of a single
+(n, C) matrix, C being the length of the shared vector, and both phases work
+on groups of consecutive nodes (``node.NodeGroup``): each group trains as
+one stack, keeps its members' protocol memory as stacks, and for jwins
+transforms, gamma-encodes and inverts its members' rows in one call each;
+between the phases those rows hold the coefficients. Small models are
+grouped up to about ``POOL_MIN_PARAMS`` parameters a group, so many small
+nodes cost a few stacked calls instead of one short call each; a model of
+that size or more is a group of its own. Decoding runs per message and
+evaluation per node. The parameter matrix and the features are float32, so
+nodes train and evaluate in float32, as the wire carries values, and the
+protocol memory a group keeps takes the same dtype; the wavelet transforms,
+averaging and Choco's products compute in float64.
 
 With ``workers`` above 1 a thread pool maps the groups of both phases, the
 decoding of each round's messages and the evaluations; numpy and BLAS
@@ -74,7 +76,7 @@ from .sparsify import (
     select_drift,
     selection_size,
 )
-from .wavelet import dwt, idwt
+from .wavelet import coeff_length, dwt, idwt
 
 METRICS_HEADER = "round,node,test_loss,test_acc,bytes_cum,bytes_meta_cum,alpha"
 PROBE_HEADER = "round,mse_wavelet,mse_random,cum_mse_wavelet,cum_mse_random"
@@ -388,8 +390,13 @@ def build_runtime(cfg: RunConfig) -> Runtime:
                                 derived_seed(cfg.seed, _TAG_PARTITION))
     # One parameter row per node, and every node's samples back to back in
     # node order, so that consecutive nodes' rows and samples are contiguous.
-    params = np.empty((cfg.n, reference.param_count), np.float32)
-    params[:] = reference.theta
+    # A row is as long as the shared vector (a jwins transform lengthens
+    # it); the models view its first P columns. Filled, not zeroed first:
+    # np.zeros would add about 4% to set-up.
+    plen = reference.param_count
+    params = np.empty((cfg.n, coeff_length(plen, cfg.shared_levels)), np.float32)
+    params[:, :plen] = reference.theta
+    params[:, plen:] = 0
     order = np.concatenate(parts)
     X = train.features[order].astype(np.float32)
     y = train.labels[order]
@@ -397,7 +404,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     bounds = np.cumsum([0] + [p.size for p in parts]).tolist()
     states = [
         NodeState(
-            i, reference.on(params[i]), cfg,
+            i, reference.on(params[i, :plen]), cfg,
             X[bounds[i] : bounds[i + 1]], y[bounds[i] : bounds[i + 1]],
             rng_data=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_DATA, i)),
             rng_alpha=np.random.default_rng(seed_sequence(cfg.seed, _TAG_NODE_ALPHA, i)),
@@ -409,7 +416,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     groups = []
     for a in range(0, cfg.n, size):
         b = min(a + size, cfg.n)
-        groups.append(NodeGroup(states[a:b], reference.on(params[a:b]),
+        groups.append(NodeGroup(states[a:b], params[a:b],
                                 X[bounds[a] : bounds[b]], y[bounds[a] : bounds[b]]))
     topo_seed = cfg.topology.seed
     if topo_seed is None:
@@ -476,11 +483,27 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             return [fn(x) for x in items]
         return list(pool.map(fn, items))
 
+    # The seeded index sets the senders built this round, by (seed, entry
+    # count, slot count).
+    built = {}
+
+    def prepare(group):
+        updates = prepare_round(group, t, cfg)
+        built.update(((u.seed, u.k, u.index_slots), u.indices)
+                     for u in updates if u.index_slots is not None)
+        return [codec.serialize(u) for u in updates]
+
     def decode(blob):
-        # Decode once per broadcast message and rebuild a seeded index set
-        # once, before the fan-out; receivers share the result.
+        # Decode once per broadcast message, before the fan-out; receivers
+        # share the result. A seeded message takes the set a sender built
+        # for the seed, entry count and slot count it carries, or else
+        # rebuilds it from its seed.
         update = codec.deserialize(blob)
-        codec.regenerate_indices(update, coeff_len)
+        indices = built.get((update.seed, update.k, coeff_len))
+        if indices is None:
+            codec.regenerate_indices(update, coeff_len)
+        else:
+            update.indices, update.index_slots = indices, coeff_len
         return update
 
     try:
@@ -491,9 +514,8 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             # Each update is serialized as soon as its group has built it:
             # from here on the round holds a message as its wire bytes, the
             # decoded index set and values that view those bytes.
-            blobs = [blob for group_blobs in pool_map(
-                lambda g: [codec.serialize(u) for u in prepare_round(g, t, cfg)],
-                rt.groups) for blob in group_blobs]
+            blobs = [blob for group_blobs in pool_map(prepare, rt.groups)
+                     for blob in group_blobs]
             if dump_fh is not None:
                 codec.write_message_dump(dump_fh, blobs)
             wire = pool_map(decode, blobs)
@@ -505,6 +527,7 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
             # Free the messages before evaluation and the next round's
             # training.
             del blobs, wire, inboxes
+            built.clear()
             for i, oc in enumerate(outcomes):
                 bytes_cum[i] += oc.bytes_sent
                 meta_cum[i] += oc.meta_bytes

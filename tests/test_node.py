@@ -24,7 +24,7 @@ from jwins.node import (
 )
 from jwins.sim import ChocoCfg, RunConfig
 from jwins.sparsify import random_indices, selection_size, top_indices
-from jwins.wavelet import dwt
+from jwins.wavelet import dwt, idwt
 
 
 def _triangle_weights():
@@ -55,21 +55,46 @@ def _make_state(node_id, cfg, num_features=4, classes=2, samples=12,
 
 
 # Each node's group of one, kept across rounds: it holds the node's
-# protocol memory. Emptied after every test.
+# protocol memory. Each node's parameters right after its latest local
+# training, x_tau. Both emptied after every test.
 _GROUPS = {}
+_TRAINED = {}
 
 
 @pytest.fixture(autouse=True)
 def _forget_groups():
     yield
     _GROUPS.clear()
+    _TRAINED.clear()
+
+
+def _recording(group):
+    """``group``, recording in ``_TRAINED`` every member's x_tau as it
+    trains: between the phases a jwins group's parameter rows hold the
+    members' coefficients instead."""
+    train = group.train
+
+    def recorded(sgd):
+        losses = train(sgd)
+        for s in group.states:
+            _TRAINED[s] = s.model.get_flat()
+        return losses
+
+    group.train = recorded
+    return group
 
 
 def _group(state):
     """The node's group of one."""
     if state not in _GROUPS:
-        _GROUPS[state] = NodeGroup.single(state)
+        _GROUPS[state] = _recording(NodeGroup.single(state))
     return _GROUPS[state]
+
+
+def _rounded_trip(x, levels):
+    """Where a jwins node that averages nothing in ends its round from x:
+    the inverse transform of x's coefficients rounded to x's dtype."""
+    return idwt(dwt(x, levels).astype(x.dtype), x.size, levels).astype(x.dtype)
 
 
 def _prepare(state, round_no, cfg):
@@ -355,17 +380,21 @@ class TestJwinsRound:
         assert len(seen) >= 4
 
     def test_empty_inbox_keeps_post_training_point(self):
-        """No arrivals: parameters land exactly on x_tau, the attempted
-        selection's reference moves to its coefficients at x_tau, and every
-        other reference stays at the starting point's transform."""
+        """No arrivals: parameters land on the inverse transform of x_tau's
+        coefficients in the parameters' dtype, bitwise, and within a few
+        rounding errors of x_tau; the attempted selection's reference moves
+        to its coefficients at x_tau, and every other reference stays at the
+        starting point's transform."""
         cfg = RunConfig(**self.CFG)
         W = _pair_weights()
         state = _make_state(0, cfg)
         x0 = state.model.get_flat()
         update = _prepare(state, 0, cfg)
-        x_tau = state.model.get_flat()
+        x_tau = _TRAINED[state]
         _finalize(state, [], W, 0, cfg)
-        np.testing.assert_array_equal(state.model.get_flat(), x_tau)
+        x = state.model.get_flat()
+        assert x.tobytes() == _rounded_trip(x_tau, cfg.shared_levels).tobytes()
+        assert np.max(np.abs(x - x_tau)) <= 16 * np.finfo(x.dtype).eps * np.max(np.abs(x_tau))
         coeffs = dwt(x_tau, cfg.shared_levels)
         want = dwt(x0, cfg.shared_levels)
         want[update.indices] = coeffs[update.indices]
@@ -385,7 +414,7 @@ class TestJwinsRound:
         levels = cfg.shared_levels
         pre_drift = dwt(x_start, levels) - _group(s).ref[0]
         updates = [_prepare(st, 1, cfg) for st in states]
-        x_tau = s.model.get_flat()
+        x_tau = _TRAINED[s]
         _finalize(s, [updates[1]], W, 1, cfg)
         x_next = s.model.get_flat()
         want = pre_drift + dwt(x_tau - x_start, levels)
@@ -489,7 +518,7 @@ class TestDriftMatchesAccumulatedScores:
         for r in range(8):
             before = [s.model.get_flat() for s in states]
             updates = [_prepare(s, r, cfg) for s in states]
-            x_tau = [s.model.get_flat() for s in states]
+            x_tau = [_TRAINED[s] for s in states]
             for s, o, u, x0, x1 in zip(states, oracles, updates, before, x_tau):
                 o.add_training(x0, x1)
                 np.testing.assert_array_equal(u.indices, top_indices(o.scores, u.k))
@@ -511,13 +540,15 @@ class TestGroupRound:
         ``sim.build_runtime`` lays them out, and their group."""
         states = [_make_state(i, cfg, num_features=6, classes=3, samples=15, data_seed=70,
                               hidden=hidden) for i in range(3)]
-        params = np.stack([s.model.theta for s in states])
+        plen = states[0].model.param_count
+        params = np.zeros((len(states), states[0].coeff_len))
         for i, s in enumerate(states):
-            s.model = s.model.on(params[i])
-        group = NodeGroup(states, states[0].model.on(params),
+            params[i, :plen] = s.model.theta
+            s.model = s.model.on(params[i, :plen])
+        group = NodeGroup(states, params,
                           np.concatenate([s.X for s in states]),
                           np.concatenate([s.y for s in states]))
-        return states, group
+        return states, _recording(group)
 
     @pytest.mark.parametrize("hidden", [None, 8])
     @pytest.mark.parametrize("algo", [a.value for a in Algo])
@@ -525,21 +556,28 @@ class TestGroupRound:
         """One group of three against three groups of one, for three
         rounds in which node 1 receives nothing: the messages, every
         member's parameters and its rows of the group's protocol memory
-        equal its single-node run, and outside Choco node 1 stays exactly at
-        its post-training point."""
+        equal its single-node run. For full and random sharing node 1 stays
+        exactly at its post-training point x_tau; for jwins it lands on the
+        inverse transform of x_tau's coefficients in the parameters' dtype,
+        bitwise, within a few rounding errors of x_tau."""
         cfg = RunConfig(algo=algo, sgd=SGDConfig(eta=0.1, tau=2))
         W = _triangle_weights()
         states, group = self._group(cfg, hidden)
         singles, _ = self._group(cfg, hidden)
         for r in range(3):
             updates = prepare_round(group, r, cfg)
-            x_tau = states[1].model.get_flat()
+            x_tau = _TRAINED[states[1]]
             inboxes = [[updates[j] for j in W.neighbors[i]] for i in range(3)]
             inboxes[1] = []
             outcomes = finalize_group(group, inboxes, W, r, cfg)
             assert [oc.accepted for oc in outcomes] == [2, 0, 2]
-            if algo != "choco":
-                np.testing.assert_array_equal(states[1].model.theta, x_tau)
+            x = states[1].model.get_flat()
+            if algo == "jwins":
+                assert x.tobytes() == _rounded_trip(x_tau, cfg.shared_levels).tobytes()
+                assert (np.max(np.abs(x - x_tau))
+                        <= 16 * np.finfo(x.dtype).eps * np.max(np.abs(x_tau)))
+            elif algo != "choco":
+                np.testing.assert_array_equal(x, x_tau)
             single_updates = [_prepare(s, r, cfg) for s in singles]
             for i, s in enumerate(singles):
                 inbox = [single_updates[j] for j in W.neighbors[i]] if i != 1 else []

@@ -5,6 +5,7 @@ low-dimensional blobs) so the whole file stays fast while still crossing the
 real serialize/deserialize boundary every round.
 """
 
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -363,9 +364,9 @@ class TestRunDeterminism:
                              (tmp_path / "dump.bin").read_bytes()))
         assert len(outputs) == 1
 
-    def test_seeded_indices_built_twice_per_message(self, monkeypatch):
-        """The sender builds its set once, and the simulator once more for
-        all receivers of the decoded message."""
+    def test_seeded_indices_built_once_per_message(self, monkeypatch):
+        """The sender builds its set once, and every receiver of the decoded
+        message takes that set."""
         from jwins import node, sim, sparsify
 
         calls = []
@@ -378,7 +379,46 @@ class TestRunDeterminism:
             monkeypatch.setattr(mod, "random_indices", counting)
         cfg = _tiny(algo="random", n=6, rounds=4)
         run(cfg)
-        assert len(calls) == 2 * cfg.n * cfg.rounds
+        assert len(calls) == cfg.n * cfg.rounds
+
+    def test_seed_no_sender_used_is_regenerated(self, monkeypatch):
+        """A seeded message whose seed no sender built a set for this round
+        is decoded with the set of its own seed, rebuilt once for all its
+        receivers; the other messages keep their senders' sets."""
+        from jwins import node, sparsify
+
+        foreign = 12345
+        calls, inboxes = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return sparsify.random_indices(*args)
+
+        def prepare(group, round_no, cfg, real=sim.prepare_round):
+            updates = real(group, round_no, cfg)
+            for i, u in enumerate(updates):
+                if u.sender == 0:
+                    updates[i] = codec.make_seed_update(round_no, 0, foreign, u.values)
+            return updates
+
+        def finalize(group, group_inboxes, *args, real=sim.finalize_group):
+            inboxes.extend(group_inboxes)
+            return real(group, group_inboxes, *args)
+
+        for mod in (node, codec, sim):
+            monkeypatch.setattr(mod, "random_indices", counting)
+        monkeypatch.setattr(sim, "prepare_round", prepare)
+        monkeypatch.setattr(sim, "finalize_group", finalize)
+        cfg = _tiny(algo="random", rounds=1)
+        run(cfg)
+        slots = sim.build_runtime(cfg).states[0].coeff_len
+        k = selection_size(cfg.random_alpha, slots)
+        assert len(calls) == cfg.n + 1 and calls[-1] == (slots, k, foreign)
+        received = [u for inbox in inboxes for u in inbox]
+        assert received and all(u.index_slots == slots for u in received)
+        for u in received:
+            np.testing.assert_array_equal(u.indices, random_indices(slots, k, u.seed))
+        assert any(u.seed == foreign for u in received)
 
     def test_seed_changes_results(self):
         rows_a = run(_tiny())
@@ -460,6 +500,41 @@ class TestMetricsRows:
         assert len(node_rows) == 1
         assert node_rows[0][4] == 0  # nobody to talk to, no traffic
 
+    @pytest.mark.parametrize("model", [{}, {"kind": "mlp", "hidden": 8}], ids=["logreg", "mlp"])
+    def test_single_jwins_node_ends_each_round_at_its_rounded_coefficients(
+            self, monkeypatch, model):
+        """A lone jwins node receives nothing, so each round ends at the
+        inverse transform of its float32 coefficients at x_tau, bitwise,
+        and within a few float32 rounding errors of x_tau, which is where it
+        would stay without the transform."""
+        from jwins.node import NodeGroup
+        from jwins.wavelet import dwt, idwt
+
+        trained, ends = [], []
+
+        def train(group, sgd, real=NodeGroup.train):
+            losses = real(group, sgd)
+            trained.append(group.model.theta[0].copy())
+            return losses
+
+        def finalize(group, *args, real=sim.finalize_group):
+            outcomes = real(group, *args)
+            ends.append(group.model.theta[0].copy())
+            return outcomes
+
+        monkeypatch.setattr(NodeGroup, "train", train)
+        monkeypatch.setattr(sim, "finalize_group", finalize)
+        cfg = _tiny(n=1, rounds=4, eval_every=2, model=model)
+        rows = run(cfg)
+        assert len(rows) == 2 * 2 and len(trained) == len(ends) == cfg.rounds
+        levels = cfg.shared_levels
+        for x_tau, x in zip(trained, ends):
+            assert x_tau.dtype == x.dtype == np.float32
+            want = idwt(dwt(x_tau, levels).astype(np.float32), x_tau.size, levels)
+            assert x.tobytes() == want.astype(np.float32).tobytes()
+            eps = np.finfo(np.float32).eps
+            assert np.max(np.abs(x - x_tau)) <= 16 * eps * np.max(np.abs(x_tau))
+
     def test_dynamic_topology_changes_outcome(self):
         static = run(_tiny(algo="full"))
         dynamic = run(_tiny(algo="full", topology={"dynamic": True}))
@@ -517,13 +592,14 @@ class TestRunMemory:
         """A round holds each message once: its wire bytes, the decoded
         index set and values that view those bytes. tracemalloc's peak over a
         3-round, 8-node run of 60,426 parameters reads, in bytes per
-        parameter per node, jwins 21.8, Choco 18.5, full 12.5 and random
-        11.7. 12 of jwins' bytes are the floor: each node's float32
-        parameters, wavelet reference and pending coefficients, 4 bytes
-        each; Choco's are its parameters and its two float32 memory rows.
-        jwins peaks in the finalize phase, where one inverse transform holds
-        about 24 bytes per parameter of the group it inverts."""
-        assert _peak_per_parameter_per_node("jwins") < 22.3
+        parameter per node, jwins 18.3, Choco 18.5, full 12.5 and random
+        11.7. 8 of jwins' bytes are the floor: each node's float32 parameter
+        row, which holds its coefficients between the phases, and its
+        float32 wavelet reference, 4 bytes each; Choco's 12 are its
+        parameters and its two float32 memory rows. jwins peaks in the
+        finalize phase, where one inverse transform holds about 24 bytes per
+        parameter of the group it inverts."""
+        assert _peak_per_parameter_per_node("jwins") < 20.3
 
     @pytest.mark.parametrize("algo, bound", [
         ("choco", 20.5), ("full", 14.5), ("random", 14.0),
@@ -532,6 +608,46 @@ class TestRunMemory:
         """The same measure for the other three algorithms, each bound about
         2 bytes above its read (docstring above)."""
         assert _peak_per_parameter_per_node(algo) < bound
+
+    @pytest.mark.parametrize("over", [
+        {"algo": "jwins"}, {"ablations": {"wavelet_on": False}},
+        {"algo": "full"}, {"algo": "random"}, {"algo": "choco"},
+    ], ids=["jwins", "jwins-no-wavelet", "full", "random", "choco"])
+    def test_shared_stack_is_the_parameter_rows(self, monkeypatch, over):
+        """After every ``prepare_round`` of a run, each group's rows, one of
+        ``coeff_len`` slots per member, hold its members' vectors in the
+        shared domain, bitwise: x_tau's transform rounded to float32 for
+        jwins, x_tau itself otherwise. The parameters view those rows, and
+        no other (G, ``coeff_len``) stack is held but the protocol memory:
+        no coefficient stack is allocated next to the parameters."""
+        from jwins.node import NodeGroup
+        from jwins.wavelet import dwt
+
+        trained, checked = {}, []
+
+        def train(group, sgd, real=NodeGroup.train):
+            losses = real(group, sgd)
+            trained[id(group)] = group.model.theta.copy()
+            return losses
+
+        def prepare(group, round_no, cfg, real=sim.prepare_round):
+            updates = real(group, round_no, cfg)
+            shape = (len(group.states), group.states[0].coeff_len)
+            assert group.rows.shape == shape
+            assert np.shares_memory(group.rows, group.model.theta)
+            want = dwt(trained[id(group)], cfg.shared_levels).astype(np.float32)
+            assert group.rows.tobytes() == want.tobytes()
+            stacks = {name for name, value in vars(group).items()
+                      if isinstance(value, np.ndarray) and value.shape == shape}
+            assert stacks <= {"rows", "ref", "choco_hat", "choco_agg"}, stacks
+            checked.append(group)
+            return updates
+
+        monkeypatch.setattr(NodeGroup, "train", train)
+        monkeypatch.setattr(sim, "prepare_round", prepare)
+        cfg = _tiny(**over, model={"kind": "mlp", "hidden": 8})
+        run(cfg)
+        assert len(checked) == cfg.rounds
 
     @pytest.mark.parametrize("algo", ["jwins", "full", "random", "choco"])
     def test_nothing_forms_a_reference_cycle(self, algo):
@@ -589,15 +705,16 @@ class TestPrecision:
 
     @pytest.mark.parametrize("algo", ["jwins", "choco"])
     def test_protocol_memory_is_float64(self, algo):
-        """A group over float64 parameters, like the models acceptance
-        criterion 08 builds by hand, keeps jwins' reference and shared
-        coefficient stacks and Choco's two memory stacks in float64."""
+        """A group over float64 parameter rows, like the models acceptance
+        criterion 08 builds by hand, keeps jwins' reference stack and
+        Choco's two memory stacks in float64, and jwins' coefficients stay
+        float64 in the rows."""
         cfg = _tiny(algo=algo)
         group = sim.build_runtime(cfg).groups[0]
-        group.model = group.model.on(group.model.theta.astype(np.float64))
+        group = dataclasses.replace(group, rows=group.rows.astype(np.float64))
         prepare_round(group, 0, cfg)
         assert group.model.theta.dtype == np.float64
-        names = ("ref", "shared") if algo == "jwins" else ("choco_hat", "choco_agg")
+        names = ("ref", "rows") if algo == "jwins" else ("choco_hat", "choco_agg")
         for name in names:
             assert getattr(group, name).dtype == np.float64, name
 
@@ -616,7 +733,7 @@ class TestPrecision:
             return built[-1]
 
         def finalize(group, *args, real=sim.finalize_group):
-            names = ("ref", "shared") if group.ref is not None else ("choco_hat", "choco_agg")
+            names = ("ref", "rows") if group.ref is not None else ("choco_hat", "choco_agg")
             seen.extend((name, getattr(group, name).dtype) for name in names)
             return real(group, *args)
 
