@@ -84,9 +84,9 @@ class SparseUpdate:
 
     ``index_payload`` is the metadata as it goes on the wire (empty for
     FULL). ``indices`` is None for FULL (implicitly all slots) and for
-    RANDOM_SEED until its set is built, by the sender or by regeneration;
-    ``index_slots`` is the slot count a RANDOM_SEED update's ``indices``
-    were built for.
+    RANDOM_SEED until its set is built: by the sender, or from the seed by
+    the first ``resolve_indices`` call of a receiver. ``index_slots`` is the
+    slot count a RANDOM_SEED update's ``indices`` were built for.
     """
 
     round_no: int
@@ -558,24 +558,13 @@ def _scan_window(raw: np.ndarray, first: int, out: np.ndarray, final: bool) -> t
     return n, int(bound[n])
 
 
-def regenerate_indices(update: SparseUpdate, coeff_len: int) -> None:
-    """Rebuild a RANDOM_SEED update's index set for receivers of
-    ``coeff_len`` slots, once, so that they share it.
-
-    Other kinds, and an entry count no set of that length can hold, are left
-    as they are; ``resolve_indices`` rejects the latter per receiver.
-    """
-    if update.kind == UpdateKind.RANDOM_SEED and update.k <= coeff_len:
-        update.indices = random_indices(coeff_len, update.k, update.seed)
-        update.index_slots = coeff_len
-
-
 def resolve_indices(update: SparseUpdate, coeff_len: int) -> np.ndarray | None:
     """Index set a receiver should scatter the values into.
 
     FULL (and any update covering every slot) resolves to None, meaning "all
-    slots in order". RANDOM_SEED takes the set ``regenerate_indices`` built
-    for this slot count, or regenerates it from the carried seed. Raises
+    slots in order". RANDOM_SEED takes the set built for this slot count, by
+    its sender or an earlier receiver, or else builds it from the carried
+    seed and keeps it on the update for the message's other receivers. Raises
     CodecError when indices fall outside [0, coeff_len) or the entry count is
     inconsistent with the slot count.
     """
@@ -586,10 +575,11 @@ def resolve_indices(update: SparseUpdate, coeff_len: int) -> np.ndarray | None:
             raise CodecError("dense update with wrong slot count")
         return None
     if update.kind == UpdateKind.RANDOM_SEED:
-        if update.index_slots == coeff_len:
-            idx = update.indices
-        else:
-            idx = random_indices(coeff_len, update.k, update.seed)
+        if update.index_slots != coeff_len:
+            # Receivers on other threads may each build it; the sets are equal.
+            update.indices = random_indices(coeff_len, update.k, update.seed)
+            update.index_slots = coeff_len
+        idx = update.indices
     else:
         idx = update.indices
         if idx is None:

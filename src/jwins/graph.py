@@ -3,7 +3,8 @@
 Graphs come from the configuration model: pair up n*d stubs uniformly at
 random and start over whenever the pairing produces a self-loop, a parallel
 edge, or a disconnected graph. A full restart keeps the distribution uniform
-over simple connected d-regular graphs.
+over simple connected d-regular graphs. The complete graph, the only
+(n-1)-regular one, is built without a draw.
 """
 
 from __future__ import annotations
@@ -97,15 +98,22 @@ def _connected(adj: np.ndarray) -> bool:
 def generate_regular(n: int, d: int, seed: int) -> Topology:
     """Sample a simple connected d-regular graph on n nodes.
 
-    Requires 0 < d < n and n * d even. Gives up with RuntimeError
-    ("generation stalled") after 10000 rejected pairings, which happens from
-    d = 6 on: n=10 stalls on 16 of seeds 0-19 at d=6 and on all 20 at d=8.
-    ROADMAP.md's open item on regular graphs asks for a sampler that does not.
+    Requires 0 < d < n and n * d even. At d = n - 1 the complete graph is
+    the only such graph, and it is built without a draw. Otherwise gives up
+    with RuntimeError ("generation stalled") after 10000 rejected pairings,
+    which happens from d = 6 on: (n, d) = (8, 6), (9, 6), (10, 7) and
+    (10, 8) stall on seeds 0-2, and n=10 stalls on 16 of seeds 0-19 at d=6.
+    ROADMAP.md's open item on regular graphs asks for a sampler that does
+    not.
     """
     if not 0 < d < n:
         raise ValueError("degree must satisfy 0 < d < n")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
+    if d == n - 1:
+        # Row i is every node but i, ascending, as a pairing would sort it.
+        others = np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)]
+        return Topology(n, d, tuple(others.reshape(n, d)), int(seed))
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         adj = _pairing_attempt(rng, n, d)

@@ -263,26 +263,31 @@ def prepare_round(group: NodeGroup, round_no: int, cfg: RunConfig) -> list[Spars
 
 def _gather_contributions(state: NodeState, inbox, weights: MixingWeights,
                           round_no: int) -> tuple[list, int]:
-    """Validate the inbox and resolve every update to (sender, indices, values).
+    """Validate the inbox and resolve every update it accepts to (weight,
+    indices, values), in sender order: the receiver's mixing weight for the
+    sender, the index set from ``codec.resolve_indices``, and the values.
 
     Bad messages (wrong round, unknown sender, out-of-range indices) are
     rejected with a log line and the node continues with the rest. A
     duplicate sender is a caller bug and raises.
     """
+    neighbors = weights.neighbors[state.node_id]
+    edge_weights = weights.edge_weights[state.node_id]
     contribs = []
     rejected = 0
-    seen = set()
-    neighbor_set = set(int(j) for j in weights.neighbors[state.node_id])
+    previous = None
     for u in sorted(inbox, key=lambda m: m.sender):
-        if u.sender in seen:
+        # Sorted, a repeated sender sits next to its twin.
+        if u.sender == previous:
             raise ValueError("duplicate sender %d in inbox" % u.sender)
-        seen.add(u.sender)
+        previous = u.sender
         if u.round_no != round_no:
             log.warning("node %d dropped update from %d: round %d != %d",
                         state.node_id, u.sender, u.round_no, round_no)
             rejected += 1
             continue
-        if u.sender not in neighbor_set:
+        pos = int(np.searchsorted(neighbors, u.sender))
+        if pos == neighbors.size or neighbors[pos] != u.sender:
             log.warning("node %d dropped update from non-neighbor %d",
                         state.node_id, u.sender)
             rejected += 1
@@ -294,33 +299,28 @@ def _gather_contributions(state: NodeState, inbox, weights: MixingWeights,
                         state.node_id, u.sender, exc)
             rejected += 1
             continue
-        contribs.append((u.sender, idx, u.values))
+        contribs.append((float(edge_weights[pos]), idx, u.values))
     return contribs, rejected
 
 
-def sparse_average(own: np.ndarray, contributions, weights: MixingWeights,
-                   self_id: int) -> np.ndarray:
+def sparse_average(own: np.ndarray, contributions, self_weight: float) -> np.ndarray:
     """Weighted average per slot over whoever actually contributed it.
 
     For slot k with contributor set S(k) (self always includes every slot),
     the result is sum_{j in S(k)} w_ij v_j[k] / sum_{j in S(k)} w_ij. Slots
     nobody else sent keep the node's own value bitwise unchanged.
 
-    ``contributions`` is a list of (sender, indices, values); indices None
-    means a dense contribution covering every slot.
+    ``self_weight`` is w_ii, and ``contributions`` is a list of (w_ij,
+    indices, values), one per sender, as ``_gather_contributions`` returns
+    them; indices None means a dense contribution covering every slot.
     """
     if not contributions:
         return own.copy()
-    w_self = float(weights.self_weight[self_id])
+    w_self = float(self_weight)
     # float64 whatever the row's width; for a float64 row, w_self * own.
     acc = np.multiply(own, w_self, dtype=np.float64)
     norm = np.full(own.size, w_self)
-    seen = set()
-    for sender, idx, values in contributions:
-        if sender in seen:
-            raise ValueError("duplicate sender %d" % sender)
-        seen.add(sender)
-        w = weights.weight(self_id, sender)
+    for w, idx, values in contributions:
         # Widen before the product: a float32 times a Python float stays
         # float32.
         wv = np.multiply(values, w, dtype=np.float64)
@@ -359,21 +359,20 @@ def finalize_round(state: NodeState, inbox, weights: MixingWeights, round_no: in
     group.outbound[row] = None
     degree = int(weights.neighbors[state.node_id].size)
     contribs, rejected = _gather_contributions(state, inbox, weights, round_no)
+    w_self = float(weights.self_weight[state.node_id])
     own = group.rows[row]
     if cfg.algo != Algo.CHOCO:
         # With nothing arrived the row keeps its value exactly.
         if contribs:
-            own[:] = sparse_average(own, contribs, weights, state.node_id)
+            own[:] = sparse_average(own, contribs, w_self)
     else:
         # The aggregate tracks sum_j w_ij x_hat_j (self included); every
         # broadcast residual q_j advances x_hat_j, so folding w * q_j in
         # keeps it current without storing any neighbor mirror.
         agg = group.choco_agg[row]
-        sent, values = group.sent[row]
-        agg[sent] += float(weights.self_weight[state.node_id]) * values.astype(np.float64)
-        for sender, idx, vals in contribs:
+        for w, idx, vals in [(w_self, *group.sent[row])] + contribs:
             # A dense update's indices are None, and agg[None] views every slot.
-            agg[idx] += weights.weight(state.node_id, sender) * vals.astype(np.float64)
+            agg[idx] += w * vals.astype(np.float64)
         own += cfg.choco.gamma * (agg - group.choco_hat[row])
 
     return RoundOutcome(

@@ -496,13 +496,11 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     def decode(blob):
         # Decode once per broadcast message, before the fan-out; receivers
         # share the result. A seeded message takes the set a sender built
-        # for the seed, entry count and slot count it carries, or else
-        # rebuilds it from its seed.
+        # for the seed, entry count and slot count it carries; any other is
+        # built by its first receiver's ``codec.resolve_indices``.
         update = codec.deserialize(blob)
         indices = built.get((update.seed, update.k, coeff_len))
-        if indices is None:
-            codec.regenerate_indices(update, coeff_len)
-        else:
+        if indices is not None:
             update.indices, update.index_slots = indices, coeff_len
         return update
 

@@ -33,7 +33,6 @@ from jwins.codec import (
     make_indexed_updates,
     make_seed_update,
     read_message_dump,
-    regenerate_indices,
     resolve_indices,
     serialize,
     write_message_dump,
@@ -464,38 +463,37 @@ class TestResolveSeeded:
         return deserialize(serialize(u))
 
     def test_regenerated_once_and_shared(self):
+        """The first receiver builds the set from the seed and keeps it on
+        the update; later receivers of that length take the same array."""
         u = self._wire()
-        regenerate_indices(u, 100)
-        want = random_indices(100, 30, u.seed)
-        np.testing.assert_array_equal(u.indices, want)
-        assert resolve_indices(u, 100) is u.indices
-        assert resolve_indices(u, 100) is u.indices
+        assert u.indices is None and u.index_slots is None
+        got = resolve_indices(u, 100)
+        np.testing.assert_array_equal(got, random_indices(100, 30, u.seed))
+        assert got is u.indices and u.index_slots == 100
+        assert resolve_indices(u, 100) is got
 
     def test_each_length_gets_its_own_set(self):
         """A receiver of another length never gets the set built for 100."""
-        for regenerated in (False, True):
-            u = self._wire()
-            if regenerated:
-                regenerate_indices(u, 100)
-            for length in (100, 57, 30, 100):
-                got = resolve_indices(u, length)
-                want = random_indices(length, 30, u.seed)
-                if want.size == length:
-                    assert got is None
-                else:
-                    np.testing.assert_array_equal(got, want)
+        u = self._wire()
+        for length in (100, 57, 30, 100):
+            got = resolve_indices(u, length)
+            want = random_indices(length, 30, u.seed)
+            if want.size == length:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+            assert u.index_slots == length
 
     def test_too_many_entries(self):
         u = self._wire(k=30)
-        regenerate_indices(u, 20)
-        assert u.indices is None and u.index_slots is None
         with pytest.raises(CodecError, match="more entries"):
             resolve_indices(u, 20)
+        assert u.indices is None and u.index_slots is None
 
     def test_other_kinds_untouched(self):
         idx = np.array([1, 4, 9])
         u = deserialize(serialize(make_indexed_update(0, 0, idx, np.ones(3))))
-        regenerate_indices(u, 10)
+        assert resolve_indices(u, 10) is u.indices
         np.testing.assert_array_equal(u.indices, idx)
         assert u.index_slots is None
 

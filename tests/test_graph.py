@@ -65,6 +65,18 @@ class TestGenerate:
         for i, nb in enumerate(topo.neighbors):
             np.testing.assert_array_equal(nb, [j for j in range(5) if j != i])
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_complete_graph(self, n):
+        """d = n - 1 has one simple graph, the complete one: every seed
+        builds it, in the sorted int64 rows a pairing gives."""
+        for seed in range(3):
+            topo = generate_regular(n, n - 1, seed)
+            _check_regular(topo, n, n - 1)
+            assert topo.seed == seed
+            for i, nb in enumerate(topo.neighbors):
+                assert nb.dtype == np.int64
+                np.testing.assert_array_equal(nb, [j for j in range(n) if j != i])
+
     def test_96_nodes_degree_4(self):
         topo = generate_regular(96, 4, seed=1)
         _check_regular(topo, 96, 4)

@@ -144,6 +144,14 @@ def _reference_sparse_average(own, contributions, weights, self_id):
     return result
 
 
+def _average(own, contributions, weights, self_id):
+    """``node.sparse_average`` over (sender, indices, values) contributions,
+    each weighed as ``_gather_contributions`` weighs it."""
+    weighed = [(weights.weight(self_id, sender), idx, values)
+               for sender, idx, values in contributions]
+    return sparse_average(own, weighed, weights.self_weight[self_id])
+
+
 class TestSparseAverage:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_masked_reference_bitwise(self, seed):
@@ -163,7 +171,7 @@ class TestSparseAverage:
                 vals = rng.normal(size=idx.size).astype(np.float32)
             vals[rng.random(vals.size) < 0.2] = -0.0
             contribs.append((int(j), idx, vals))
-        got = sparse_average(own, contribs, W, 0)
+        got = _average(own, contribs, W, 0)
         want = _reference_sparse_average(own, contribs, W, 0)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -175,9 +183,9 @@ class TestSparseAverage:
         own = rng.normal(size=50).astype(np.float32)
         contribs = [(1, np.array([0, 4, 9, 30]), rng.normal(size=4).astype(np.float32)),
                     (2, None, rng.normal(size=50).astype(np.float32))]
-        got = sparse_average(own, contribs, W, 0)
+        got = _average(own, contribs, W, 0)
         assert got.dtype == np.float64
-        want = sparse_average(own.astype(np.float64), contribs, W, 0)
+        want = _average(own.astype(np.float64), contribs, W, 0)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_zero_self_weight_matches_reference_without_warning(self):
@@ -191,7 +199,7 @@ class TestSparseAverage:
         contribs = [(1, np.array([0, 4, 9, 30]), rng.normal(size=4).astype(np.float32)),
                     (2, np.array([4, 5, 49]), rng.normal(size=3).astype(np.float32))]
         with np.errstate(all="raise"):
-            got = sparse_average(own, contribs, W, 0)
+            got = _average(own, contribs, W, 0)
         want = _reference_sparse_average(own, contribs, W, 0)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -203,7 +211,7 @@ class TestSparseAverage:
             (1, np.array([0]), np.array([9.0], dtype=np.float32)),
             (2, np.array([0, 2]), np.array([3.0, 3.0], dtype=np.float32)),
         ]
-        out = sparse_average(own, contribs, W, self_id=0)
+        out = _average(own, contribs, W, 0)
         # Slot 0: all three at weight 1/3 each -> plain mean (0+9+3)/3.
         # Slot 1: nobody else sent it -> own value untouched.
         # Slot 2: self and node 2 -> (6+3)/3 divided by 2/3 = 4.5.
@@ -212,21 +220,19 @@ class TestSparseAverage:
     def test_untouched_slots_bitwise(self):
         W = _triangle_weights()
         own = np.array([0.1 + 0.2, 1e-300, -0.0])
-        out = sparse_average(own, [(1, np.array([1]),
-                                    np.array([5.0], dtype=np.float32))], W, 0)
+        out = _average(own, [(1, np.array([1]), np.array([5.0], dtype=np.float32))], W, 0)
         assert out[0] == own[0] and str(out[2]) == str(own[2])
 
     def test_empty_contributions_copy(self):
         W = _pair_weights()
         own = np.array([1.0, 2.0])
-        out = sparse_average(own, [], W, 0)
+        out = _average(own, [], W, 0)
         np.testing.assert_array_equal(out, own)
         assert out is not own
 
     def test_dense_two_node_oracle(self):
         W = _pair_weights()
-        out = sparse_average(np.array([1.0, 2.0]),
-                             [(1, None, np.array([3.0, 4.0]))], W, 0)
+        out = _average(np.array([1.0, 2.0]), [(1, None, np.array([3.0, 4.0]))], W, 0)
         np.testing.assert_allclose(out, [2.0, 3.0], rtol=1e-15)
 
     def test_dense_equals_full_index_set(self):
@@ -235,8 +241,8 @@ class TestSparseAverage:
         W = _triangle_weights()
         own = rng.normal(size=50)
         vals = rng.normal(size=50).astype(np.float32)
-        dense = sparse_average(own, [(1, None, vals)], W, 0)
-        indexed = sparse_average(own, [(1, np.arange(50), vals)], W, 0)
+        dense = _average(own, [(1, None, vals)], W, 0)
+        indexed = _average(own, [(1, np.arange(50), vals)], W, 0)
         np.testing.assert_array_equal(dense, indexed)
 
     def test_convex_combination_property(self):
@@ -255,19 +261,13 @@ class TestSparseAverage:
                 v64 = vals.astype(np.float64)
                 lo[idx] = np.minimum(lo[idx], v64)
                 hi[idx] = np.maximum(hi[idx], v64)
-            out = sparse_average(own, contribs, W, 0)
+            out = _average(own, contribs, W, 0)
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
-
-    def test_duplicate_sender_raises(self):
-        W = _pair_weights()
-        c = (1, np.array([0]), np.array([1.0], dtype=np.float32))
-        with pytest.raises(ValueError, match="duplicate sender"):
-            sparse_average(np.zeros(2), [c, c], W, 0)
 
     def test_dense_wrong_length_raises(self):
         W = _pair_weights()
         with pytest.raises(ValueError, match="wrong length"):
-            sparse_average(np.zeros(3), [(1, None, np.zeros(2))], W, 0)
+            _average(np.zeros(3), [(1, None, np.zeros(2))], W, 0)
 
 
 class TestFullSharing:
@@ -324,8 +324,8 @@ class TestRandomSampling:
         assert update.meta_bytes == 8
 
     def test_receiver_regenerates_same_indices(self):
-        """Only the seed crosses; the receiver's average matches a by-hand
-        sparse average over the regenerated index set."""
+        """Only the seed crosses; the receiver rebuilds the index set from
+        it, and its average matches a by-hand sparse average over that set."""
         cfg = RunConfig(algo="random", random_alpha=0.3,
                         sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
@@ -334,8 +334,12 @@ class TestRandomSampling:
         states = [_make_state(0, cfg, num_features=9, init=a),
                   _make_state(1, cfg, num_features=9, init=b)]
         updates = [_prepare(s, 0, cfg) for s in states]
-        finalize_round(states[0], [updates[1]], W, 0, cfg, _group(states[0]), 0)
+        wire = codec.deserialize(codec.serialize(updates[1]))
+        assert wire.indices is None and wire.index_slots is None
+        finalize_round(states[0], [wire], W, 0, cfg, _group(states[0]), 0)
         idx = random_indices(20, selection_size(0.3, 20), updates[1].seed)
+        assert wire.index_slots == 20 and wire.indices is not updates[1].indices
+        np.testing.assert_array_equal(wire.indices, idx)
         want = a.copy()
         want[idx] = 0.5 * a[idx] + 0.5 * b[idx].astype(np.float32)
         np.testing.assert_allclose(states[0].model.get_flat(), want, rtol=1e-15)
@@ -630,17 +634,16 @@ class TestInboxValidation:
 
     def test_seed_update_longer_than_slots_rejected(self):
         """A seeded update no set of the receiver's length can hold is a
-        rejection, also after the per-message regeneration skipped it."""
+        rejection, and no set is built for it."""
         cfg = RunConfig(algo="random", sgd=SGDConfig(eta=0.0, tau=1))
         W = _pair_weights()
         state = _make_state(0, cfg, init=np.zeros(10))
         _prepare(state, 0, cfg)
         long = codec.deserialize(codec.serialize(codec.make_seed_update(
             0, 1, 42, np.ones(11, dtype=np.float32))))
-        codec.regenerate_indices(long, state.coeff_len)
-        assert long.indices is None
         oc = finalize_round(state, [long], W, 0, cfg, _group(state), 0)
         assert oc.rejected == 1
+        assert long.indices is None and long.index_slots is None
         np.testing.assert_array_equal(state.model.get_flat(), np.zeros(10))
 
     def test_duplicate_sender_raises(self):

@@ -383,8 +383,8 @@ class TestRunDeterminism:
 
     def test_seed_no_sender_used_is_regenerated(self, monkeypatch):
         """A seeded message whose seed no sender built a set for this round
-        is decoded with the set of its own seed, rebuilt once for all its
-        receivers; the other messages keep their senders' sets."""
+        gets the set of its own seed, rebuilt once by its first receiver and
+        kept for the others; the other messages keep their senders' sets."""
         from jwins import node, sparsify
 
         foreign = 12345
