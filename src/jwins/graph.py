@@ -154,7 +154,7 @@ def round_seed(run_seed: int, round_no: int) -> int:
     return derived_seed(run_seed, int(round_no))
 
 
-def reshuffle(topo: Topology, round_no: int, run_seed: int) -> Topology:
-    """Fresh graph with the same (n, d) for a dynamic-topology round."""
-    return generate_regular(topo.n, topo.d, round_seed(run_seed, round_no))
+def reshuffle(n: int, d: int, round_no: int, run_seed: int) -> Topology:
+    """Round ``round_no``'s graph of a dynamic topology."""
+    return generate_regular(n, d, round_seed(run_seed, round_no))
 

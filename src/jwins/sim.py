@@ -70,7 +70,6 @@ from .node import (
     prepare_round,
 )
 from .sparsify import (
-    DEFAULT_ALPHA_SUPPORT,
     AlphaDistribution,
     random_indices,
     select_drift,
@@ -181,14 +180,20 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-# Each scalar field type, the value types it takes and how an error names
-# it. YAML hands over whatever scalar it parsed, and bool is a subclass of int,
-# so a bool is only taken by a bool field.
-_SCALAR_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    bool: ((bool,), "a boolean"),
-    str: ((str,), "a string"),
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Each field type, the test a value of it passes and how an error names it.
+# YAML hands over whatever it parsed, and bool is a subclass of int, so a bool
+# is only taken by a bool field; a tuple field also takes a list.
+_FIELD_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_number, "a number"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple[float, ...]: (lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)),
+                        "a list of numbers"),
 }
 
 
@@ -208,10 +213,8 @@ def _check_types(obj, prefix: str) -> None:
             if value is None:
                 continue
             hint = options[0]
-        if hint not in _SCALAR_TYPES:
-            continue
-        allowed, what = _SCALAR_TYPES[hint]
-        if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
+        fits, what = _FIELD_TYPES[hint]
+        if not fits(value):
             raise ConfigError("%s%s must be %s, got %r" % (prefix, key, what, value))
 
 
@@ -227,30 +230,9 @@ def _build(cls, raw: dict, where: str):
         if is_dataclass(hint):
             if not isinstance(value, dict):
                 raise ConfigError("config section %r must be a mapping" % key)
-            value = _build_alpha(value) if hint is AlphaDistribution else _build(hint, value, key)
+            value = _build(hint, value, key)
         kwargs[key] = value
     return cls(**kwargs)
-
-
-def _build_alpha(raw: dict) -> AlphaDistribution:
-    """The cut-off distribution of an ``alpha`` section; ``probs`` defaults
-    to uniform over ``support``."""
-    lists = {}
-    allowed, _ = _SCALAR_TYPES[float]
-    for key, value in raw.items():
-        if key not in ("support", "probs"):
-            raise ConfigError("unknown config key %r in alpha" % key)
-        if not isinstance(value, (list, tuple)) or any(
-                isinstance(v, bool) or not isinstance(v, allowed) for v in value):
-            raise ConfigError("alpha.%s must be a list of numbers, got %r" % (key, value))
-        lists[key] = tuple(float(v) for v in value)
-    support = lists.get("support", DEFAULT_ALPHA_SUPPORT)
-    try:
-        if "probs" in lists:
-            return AlphaDistribution(support, lists["probs"])
-        return AlphaDistribution.uniform(support)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -328,6 +310,15 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("choco sparsity must lie in (0, 1]")
     if cfg.wavelet_levels < 1:
         raise ConfigError("wavelet levels must be >= 1")
+    alpha = cfg.alpha
+    if len(alpha.support) == 0 or len(alpha.support) != len(alpha.probs):
+        raise ConfigError("support and probs must be non-empty and equal length")
+    if any(not 0.0 < a <= 1.0 for a in alpha.support):
+        raise ConfigError("cut-off fractions must lie in (0, 1]")
+    if any(p < 0.0 for p in alpha.probs):
+        raise ConfigError("probabilities must be non-negative")
+    if abs(sum(alpha.probs) - 1.0) > 1e-9:
+        raise ConfigError("probabilities must sum to 1")
 
 
 def load_config(path, overrides=None) -> RunConfig:
@@ -371,7 +362,9 @@ class Runtime:
     test: Dataset
     states: list
     groups: list
-    topology: Topology
+    # The graph of every round; None when each round draws its own.
+    topology: Topology | None
+    topo_seed: int
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:
@@ -423,9 +416,11 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         topo_seed = derived_seed(cfg.seed, _TAG_TOPOLOGY)
     if cfg.n == 1:
         topology = Topology(1, 0, (np.empty(0, dtype=np.int64),), topo_seed)
+    elif cfg.topology.dynamic:
+        topology = None
     else:
         topology = generate_regular(cfg.n, cfg.topology.d, topo_seed)
-    return Runtime(cfg, test, states, groups, topology)
+    return Runtime(cfg, test, states, groups, topology, topo_seed)
 
 
 def pool_size(workers: int | None, n: int, param_count: int, algo: str) -> int:
@@ -469,7 +464,7 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
     states = rt.states
     coeff_len = states[0].coeff_len
     topology = rt.topology
-    weights = metropolis_hastings(topology)
+    weights = None if topology is None else metropolis_hastings(topology)
     bytes_cum = np.zeros(n, dtype=np.int64)
     meta_cum = np.zeros(n, dtype=np.int64)
     rows: list[tuple] = []
@@ -506,8 +501,8 @@ def run(cfg: RunConfig, out_path=None, return_states=False):
 
     try:
         for t in range(cfg.rounds):
-            if cfg.topology.dynamic and n > 1:
-                topology = reshuffle(topology, t, rt.topology.seed)
+            if rt.topology is None:
+                topology = reshuffle(n, cfg.topology.d, t, rt.topo_seed)
                 weights = metropolis_hastings(topology)
             # Each update is serialized as soon as its group has built it:
             # from here on the round holds a message as its wire bytes, the

@@ -16,33 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cut-off fractions and probabilities used when a round draws how much to
-# send. Mean is 0.342857...; roughly a third of the coefficient vector.
+# Cut-off fractions a round draws how much to send from, uniformly by
+# default. Mean is 0.342857...; roughly a third of the coefficient vector.
 DEFAULT_ALPHA_SUPPORT = (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 1.0)
-DEFAULT_ALPHA_PROBS = (1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass
 class AlphaDistribution:
-    """Discrete distribution of cut-off fractions in (0, 1]."""
+    """Discrete distribution of cut-off fractions: ``support[i]`` is drawn
+    with probability ``probs[i]``. Left unset, ``probs`` is uniform over
+    ``support``. The fields are the ``alpha`` config section, which
+    ``sim._validate`` checks: lists or tuples of numbers, fractions in
+    (0, 1], probabilities non-negative and summing to 1."""
 
     support: tuple[float, ...] = DEFAULT_ALPHA_SUPPORT
-    probs: tuple[float, ...] = DEFAULT_ALPHA_PROBS
+    probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if len(self.support) == 0 or len(self.support) != len(self.probs):
-            raise ValueError("support and probs must be non-empty and equal length")
-        if any(not 0.0 < a <= 1.0 for a in self.support):
-            raise ValueError("cut-off fractions must lie in (0, 1]")
-        if any(p < 0.0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-
-    @classmethod
-    def uniform(cls, support) -> "AlphaDistribution":
-        support = tuple(float(a) for a in support)
-        return cls(support, tuple(1.0 / len(support) for _ in support))
+        # A support that is not a sequence is left for the config check.
+        if self.probs is None and isinstance(self.support, (list, tuple)):
+            self.probs = tuple(1.0 / len(self.support) for _ in self.support)
 
     def mean(self) -> float:
         return float(sum(a * p for a, p in zip(self.support, self.probs)))

@@ -130,10 +130,10 @@ class TestGenerate:
         for run seeds 1-3 over 24 rounds (topology seeds derived under tag
         4, as ``sim.build_runtime`` does)."""
         for run_seed in (1, 2, 3):
-            base = generate_regular(64, 4, derived_seed(run_seed, 4))
+            topo_seed = derived_seed(run_seed, 4)
             for r in range(24):
-                got = reshuffle(base, r, base.seed)
-                want = _reference_generate_regular(64, 4, round_seed(base.seed, r))
+                got = reshuffle(64, 4, r, topo_seed)
+                want = _reference_generate_regular(64, 4, round_seed(topo_seed, r))
                 assert [nb.tolist() for nb in got.neighbors] == want, (run_seed, r)
 
     def test_generation_stalled(self):
@@ -206,18 +206,16 @@ class TestMetropolisHastings:
 
 class TestReshuffle:
     def test_same_round_same_topology(self):
-        base = generate_regular(32, 4, seed=7)
-        a = reshuffle(base, 5, run_seed=100)
-        b = reshuffle(base, 5, run_seed=100)
+        a = reshuffle(32, 4, 5, run_seed=100)
+        b = reshuffle(32, 4, 5, run_seed=100)
         for x, y in zip(a.neighbors, b.neighbors):
             np.testing.assert_array_equal(x, y)
 
     def test_rounds_differ(self):
         """Across 100 rounds at n=32 essentially every draw is distinct."""
-        base = generate_regular(32, 4, seed=8)
         seen = set()
         for r in range(100):
-            t = reshuffle(base, r, run_seed=55)
+            t = reshuffle(32, 4, r, run_seed=55)
             _check_regular(t, 32, 4)
             seen.add(tuple(tuple(nb) for nb in t.neighbors))
         assert len(seen) >= 99

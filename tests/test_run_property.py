@@ -3,9 +3,11 @@
 Every algorithm, ablation, cut-off list and graph degree the config accepts
 must run, give the same rows on one and two workers, and count exactly the
 bytes it sent: a closed form for full sharing and random sampling, the
-message dump's lengths for jwins and Choco.
+message dump's lengths for jwins and Choco. Each config's provenance line
+must load back into the same config.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -87,3 +89,13 @@ def test_run_rows_and_bytes(raw):
     elif cfg.algo == "random":
         k = selection_size(cfg.random_alpha, plen)
         assert np.all(bytes_cum == degree * cfg.rounds * (13 + 8 + 4 * k))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(configs())
+def test_provenance_line_reloads_the_config(raw):
+    # The line a metrics CSV starts with. JSON has no tuples, so the echoes,
+    # not the dicts, are compared: a loaded list and a default tuple echo
+    # alike.
+    echo = json.dumps(config_from_dict(raw).resolved(), sort_keys=True)
+    assert json.dumps(config_from_dict(json.loads(echo)).resolved(), sort_keys=True) == echo

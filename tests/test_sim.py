@@ -10,8 +10,10 @@ import gc
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
+import typing
 import weakref
 from pathlib import Path
 
@@ -206,10 +208,24 @@ class TestConfig:
     def test_scalar_fields_reject_other_types(self, raw, what):
         with pytest.raises(ConfigError, match="must be " + what) as loaded:
             config_from_dict(raw)
-        # An alpha section takes lists only when loaded; its class checks
-        # the tuples it is built from.
-        if "alpha" not in raw:
-            _same_error_when_hand_built(raw, loaded)
+        _same_error_when_hand_built(raw, loaded)
+
+    def test_every_field_type_checked(self):
+        # Each leaf field of every section, set to a value no annotation
+        # takes, fails the run with an error naming its dotted path.
+        def leaves(cls, prefix):
+            for key, hint in typing.get_type_hints(cls).items():
+                if dataclasses.is_dataclass(hint):
+                    yield from leaves(hint, prefix + (key,))
+                else:
+                    yield prefix + (key,)
+
+        paths = list(leaves(RunConfig, ()))
+        assert ("alpha", "support") in paths and ("alpha", "probs") in paths
+        for path in paths:
+            raw = {path[0]: object()} if len(path) == 1 else {path[0]: {path[1]: object()}}
+            with pytest.raises(ConfigError, match=r"^%s must be " % re.escape(".".join(path))):
+                run(_hand_built(raw))
 
     def test_workers_unset_by_default(self):
         assert config_from_dict({}).workers is None
@@ -241,6 +257,20 @@ class TestConfig:
     def test_alpha_defaults_to_uniform(self):
         cfg = config_from_dict({"alpha": {"support": [0.2, 0.4]}})
         assert cfg.alpha.probs == (0.5, 0.5)
+
+    def test_alpha_ranges_checked_like_loaded(self):
+        for alpha, message in [
+            ({"support": [], "probs": []}, "non-empty and equal length"),
+            ({"support": [0.5], "probs": [0.5, 0.5]}, "non-empty and equal length"),
+            ({"support": [0.5, 1.5], "probs": [0.5, 0.5]}, r"must lie in \(0, 1\]"),
+            ({"support": [0.0], "probs": [1.0]}, r"must lie in \(0, 1\]"),
+            ({"support": [0.5, 0.6], "probs": [1.5, -0.5]}, "must be non-negative"),
+            ({"support": [0.5, 0.6], "probs": [0.7, 0.7]}, "must sum to 1"),
+        ]:
+            raw = {"alpha": alpha}
+            with pytest.raises(ConfigError, match=message) as loaded:
+                config_from_dict(raw)
+            _same_error_when_hand_built(raw, loaded)
 
     def test_bad_sgd_caught_at_config_time(self):
         with pytest.raises(ConfigError):

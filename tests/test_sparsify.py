@@ -139,18 +139,6 @@ class TestAlpha:
         support = set(dist.support)
         assert all(draw_alpha(dist, rng) in support for _ in range(1000))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AlphaDistribution((), ())
-        with pytest.raises(ValueError):
-            AlphaDistribution.uniform(())
-        with pytest.raises(ValueError):
-            AlphaDistribution((0.5, 1.5), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            AlphaDistribution((0.5, 0.6), (0.7, 0.7))
-        with pytest.raises(ValueError):
-            AlphaDistribution((0.0,), (1.0,))
-
 
 class TestSelectionSize:
     def test_round_half_up(self):
